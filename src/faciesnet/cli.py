@@ -12,7 +12,7 @@ import configparser
 import csv
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .welldata import (FaciesTable, impute_pe, load_adjacency, parse_csv,
 
 GRADCHECK_SEEDS = range(5)
 GRADCHECK_TOLERANCE = 1e-4
+SYNTH_WELLS = 1  # wells `synth` writes when [synth] wells is not set
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +174,8 @@ def read_config_file(path) -> dict:
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path}: not UTF-8 text")
     except configparser.Error as exc:
         raise ConfigError(f"config file {path}: {exc}")
 
@@ -204,56 +207,32 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def build_model_spec(cfg: dict) -> ModelSpec:
-    m = _section(cfg, "model")
-    stage = InceptionSpec(
-        branch_1x1=m.get("branch_1x1", 8),
-        reduce_small=m.get("reduce_small", 8),
-        small_kernel=m.get("small_kernel", 3),
-        small_channels=m.get("small_channels", 16),
-        reduce_large=m.get("reduce_large", 8),
-        large_kernel=m.get("large_kernel", 7),
-        large_channels=m.get("large_channels", 16),
-        pool_proj=m.get("pool_proj", 8),
-    )
-    return ModelSpec(
-        window=m.get("window", 31),
-        stem_kernel=m.get("stem_kernel", 5),
-        stem_channels=m.get("stem_channels", 16),
-        stages=(stage,) * m.get("stages", 2),
-        fc_sizes=m.get("fc_sizes", (64,)),
-        dropout=m.get("dropout", 0.5),
-    )
+    """ModelSpec from the [model] keys present; the dataclasses supply the rest.
+
+    The inception keys describe one stage, repeated `stages` times.
+    """
+    m = dict(_section(cfg, "model"))
+    stage = InceptionSpec(**{f.name: m.pop(f.name) for f in fields(InceptionSpec)
+                             if f.name in m})
+    n_stages = m.pop("stages", len(ModelSpec().stages))
+    return ModelSpec(stages=(stage,) * n_stages, **m)
 
 
-def build_train_config(cfg: dict, spec: ModelSpec, seed_override=None) -> TrainConfig:
-    t = _section(cfg, "training")
-    seed = seed_override if seed_override is not None else t.get("seed", 0)
-    return TrainConfig(
-        window=spec.window,
-        batch_size=t.get("batch_size", 64),
-        learning_rate=t.get("learning_rate", 1e-2),
-        momentum=t.get("momentum", 0.9),
-        epochs=t.get("epochs", 100),
-        dropout=spec.dropout,
-        seed=seed,
-        use_class_weights=t.get("use_class_weights", False),
-        validation_wells=t.get("validation_wells", ()),
-        patience=t.get("patience", 0),
-        lr_decay_every=t.get("lr_decay_every", 20),
-        lr_decay_factor=t.get("lr_decay_factor", 0.5),
-    )
+def build_train_config(cfg: dict, seed_override=None) -> TrainConfig:
+    """TrainConfig from the [training] keys present; --seed wins over the file."""
+    t = dict(_section(cfg, "training"))
+    if seed_override is not None:
+        t["seed"] = seed_override
+    return TrainConfig(**t)
 
 
 def build_synth_config(cfg: dict, seed_override=None) -> tuple[SynthConfig, int]:
-    s = _section(cfg, "synth")
-    seed = seed_override if seed_override is not None else s.get("seed", 0)
-    config = SynthConfig(
-        n_samples=s.get("n_samples", 2000),
-        p_stay=s.get("p_stay", 0.95),
-        sigma=s.get("sigma", 0.5),
-        seed=seed,
-    )
-    return config, s.get("wells", 1)
+    """SynthConfig from the [synth] keys present, plus the number of wells."""
+    s = dict(_section(cfg, "synth"))
+    n_wells = s.pop("wells", SYNTH_WELLS)
+    if seed_override is not None:
+        s["seed"] = seed_override
+    return SynthConfig(**s), n_wells
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +279,19 @@ def _adjacency_table(args, cfg) -> FaciesTable:
         raise ConfigError(str(exc))
 
 
+def _load_model_and_wells(args, cfg):
+    """The checkpoint and the wells predict/evaluate score: only the blind
+    wells when any are named, PE gaps filled with the training mean."""
+    model = Checkpoint.load(args.checkpoint)
+    wells, allow_pe = _load_wells(args, cfg)
+    blind = _blind_names(args, cfg)
+    if blind:
+        _, wells = split_by_well(wells, list(blind))
+    if allow_pe:
+        wells = impute_pe(wells, model.standardizer.mean["PE"])
+    return model, wells
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -326,7 +318,7 @@ def _predict_wells(model, wells, threads):
 def cmd_train(args) -> int:
     cfg = read_config_file(args.config) if args.config else {}
     spec = build_model_spec(cfg)
-    train_config = build_train_config(cfg, spec, seed_override=args.seed)
+    train_config = build_train_config(cfg, seed_override=args.seed)
     wells, allow_pe = _load_wells(args, cfg)
 
     unlabeled = [w.name for w in wells if w.labels is None]
@@ -343,7 +335,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     checkpoint.save(out / "model.fnet")
     report.to_csv(out / "report.csv")
-    report.to_json(out / "report.json")
+    report.to_json(out / "report.json", spec)
 
     _echo_config("resolved training configuration:",
                  sorted(asdict(train_config).items()))
@@ -356,14 +348,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = read_config_file(args.config) if args.config else {}
-    model = Checkpoint.load(args.checkpoint)
-    wells, allow_pe = _load_wells(args, cfg)
-    blind = _blind_names(args, cfg)
-    if blind:
-        _, wells = split_by_well(wells, list(blind))
-    if allow_pe:
-        wells = impute_pe(wells, model.standardizer.mean["PE"])
-
+    model, wells = _load_model_and_wells(args, cfg)
     series = _predict_wells(model, wells, args.threads)
     out = _out_dir(args)
     path = out / "predictions.csv"
@@ -386,14 +371,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = read_config_file(args.config) if args.config else {}
     table = _adjacency_table(args, cfg)
-    model = Checkpoint.load(args.checkpoint)
-    wells, allow_pe = _load_wells(args, cfg)
-    blind = _blind_names(args, cfg)
-    if blind:
-        _, wells = split_by_well(wells, list(blind))
-    if allow_pe:
-        wells = impute_pe(wells, model.standardizer.mean["PE"])
-
+    model, wells = _load_model_and_wells(args, cfg)
     unlabeled = [w.name for w in wells if w.labels is None]
     if unlabeled:
         raise MissingLabelsError(f"evaluation needs labels; missing in: "
@@ -514,7 +492,7 @@ def main(argv=None) -> int:
     except MissingLabelsError as exc:
         print(f"missing labels: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable or missing file, a directory given as a file
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (DataFormatError, ShapeError, NumericError) as exc:

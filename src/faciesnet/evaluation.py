@@ -214,15 +214,13 @@ def confidence_band(confidence: float) -> str:
 
 
 def predict_with_confidence(model: Checkpoint, well: Well,
-                            standardizer=None,
                             batch_size: int = 1024) -> PredictionSeries:
     """One prediction per depth sample via centered windows.
 
     Confidence is the winning softmax probability, annotated with the
     high (>= 0.7) / medium / low (< 0.5) band.
     """
-    standardizer = standardizer if standardizer is not None else model.standardizer
-    scaled = apply_standardizer(standardizer, well)
+    scaled = apply_standardizer(model.standardizer, well)
     windows = window_matrix(scaled, model.spec.window)
     probs = np.empty((len(windows), model.spec.n_classes))
     for start in range(0, len(windows), batch_size):

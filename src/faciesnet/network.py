@@ -293,24 +293,45 @@ def _spec_lines(spec: ModelSpec) -> list:
     return lines
 
 
-def _spec_from_manifest(kv: dict) -> ModelSpec:
+def _fields(cast, n: int):
+    """Parser for a line of exactly n space-separated values."""
+    def parse(text):
+        values = tuple(cast(t) for t in text.split())
+        if len(values) != n:
+            raise ValueError(f"expected {n} values, got {len(values)}")
+        return values
+    return parse
+
+
+def _manifest_reader(path, kv: dict):
+    """get(key, cast): the manifest value, or DataFormatError naming file and key."""
+    def get(key, cast):
+        if key not in kv:
+            raise DataFormatError(f"{path}: manifest has no {key!r} line")
+        try:
+            return cast(kv[key])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: manifest {key!r} is malformed: "
+                                  f"{kv[key]!r} ({exc})")
+    return get
+
+
+def _spec_from_manifest(path, get) -> ModelSpec:
     try:
-        stages = []
-        for i in range(int(kv["n_stages"])):
-            a, rs, ks, b, rl, kl, c, d = (int(t) for t in kv[f"stage{i}"].split())
-            stages.append(InceptionSpec(a, rs, ks, b, rl, kl, c, d))
+        stages = tuple(InceptionSpec(*get(f"stage{i}", _fields(int, 8)))
+                       for i in range(get("n_stages", int)))
         return ModelSpec(
-            window=int(kv["window"]),
-            in_channels=int(kv["in_channels"]),
-            stem_kernel=int(kv["stem_kernel"]),
-            stem_channels=int(kv["stem_channels"]),
-            stages=tuple(stages),
-            fc_sizes=tuple(int(s) for s in kv["fc_sizes"].split(",") if s),
-            dropout=float(kv["dropout"]),
-            n_classes=int(kv["n_classes"]),
+            window=get("window", int),
+            in_channels=get("in_channels", int),
+            stem_kernel=get("stem_kernel", int),
+            stem_channels=get("stem_channels", int),
+            stages=stages,
+            fc_sizes=get("fc_sizes", lambda s: tuple(int(t) for t in s.split(",") if t)),
+            dropout=get("dropout", float),
+            n_classes=get("n_classes", int),
         )
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"checkpoint manifest incomplete or malformed: {exc}")
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: manifest describes an invalid model: {exc}")
 
 
 def save_checkpoint(spec: ModelSpec, params: dict, standardizer: Standardizer,
@@ -339,51 +360,67 @@ def save_checkpoint(spec: ModelSpec, params: dict, standardizer: Standardizer,
         fh.write(blob)
 
 
-def load_checkpoint(path) -> tuple[ModelSpec, dict, Standardizer]:
-    """Read a `.fnet` file back; inverse of save_checkpoint."""
+def load_checkpoint(path) -> "Checkpoint":
+    """Read a `.fnet` file back; inverse of save_checkpoint.
+
+    Any malformed manifest line, a standardizer entry that is not a
+    finite mean with a finite std > 0, and non-finite parameters raise
+    DataFormatError naming the file and the key.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     marker = b"\n[blob]\n"
     split = raw.find(marker)
     if split < 0 or not raw.startswith(CHECKPOINT_MAGIC.encode()):
         raise DataFormatError(f"{path}: not a faciesnet checkpoint")
-    manifest = raw[:split].decode()
+    try:
+        manifest = raw[:split].decode()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: manifest is not UTF-8 text "
+                              f"(byte {exc.start})")
     blob = raw[split + len(marker):]
 
-    kv, param_order = {}, []
+    kv, param_names = {}, []
     for line in manifest.splitlines()[1:]:
         if line.startswith("param "):
-            parts = line.split()
-            param_order.append((parts[1], tuple(int(d) for d in parts[2:])))
+            name, _, dims = line[len("param "):].partition(" ")
+            param_names.append(name)
+            kv[f"param {name}"] = dims
         elif " = " in line:
             key, value = line.split(" = ", 1)
             kv[key] = value
+    get = _manifest_reader(path, kv)
 
-    spec = _spec_from_manifest(kv)
+    seed = get("seed", int)
+    spec = _spec_from_manifest(path, get)
     mean, std = {}, {}
     for c in CHANNELS:
-        if f"std.{c}" not in kv:
-            raise DataFormatError(f"{path}: manifest missing standardizer for {c}")
-        m, s = kv[f"std.{c}"].split()
-        mean[c], std[c] = float(m), float(s)
+        mean[c], std[c] = get(f"std.{c}", _fields(float, 2))
+        if not (np.isfinite(mean[c]) and np.isfinite(std[c]) and std[c] > 0):
+            raise DataFormatError(f"{path}: manifest 'std.{c}' needs a finite "
+                                  f"mean and a finite std > 0, got {kv[f'std.{c}']!r}")
 
     expected = param_shapes(spec)
-    if [n for n, _ in param_order] != list(expected):
+    if param_names != list(expected):
         raise DataFormatError(f"{path}: parameter list does not match the model spec")
-    total = sum(int(np.prod(s)) for _, s in param_order)
+    for name, shape in expected.items():
+        declared = get(f"param {name}", _fields(int, len(shape)))
+        if declared != shape:
+            raise DataFormatError(f"{path}: param {name} shape {declared} disagrees "
+                                  f"with spec {shape}")
+    total = sum(int(np.prod(s)) for s in expected.values())
     if len(blob) != 4 * total:
         raise DataFormatError(f"{path}: truncated blob: {len(blob)} bytes "
                               f"for {4 * total} expected")
     params, offset = {}, 0
-    for name, shape in param_order:
-        if shape != expected[name]:
-            raise DataFormatError(f"{path}: param {name} shape {shape} disagrees "
-                                  f"with spec {expected[name]}")
+    for name, shape in expected.items():
         n = int(np.prod(shape))
         params[name] = np.frombuffer(blob, dtype="<f4", count=n,
                                      offset=offset).reshape(shape).copy()
+        if not np.all(np.isfinite(params[name])):
+            raise DataFormatError(f"{path}: param {name} has non-finite values")
         offset += 4 * n
-    return spec, params, Standardizer(mean, std)
+    return Checkpoint(spec, params, Standardizer(mean, std), seed)
 
 
 @dataclass
@@ -400,18 +437,7 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        spec, params, standardizer = load_checkpoint(path)
-        return cls(spec, params, standardizer, checkpoint_seed(path))
-
-
-def checkpoint_seed(path) -> int:
-    """Seed recorded in a checkpoint manifest."""
-    with open(path, "rb") as fh:
-        head = fh.read(4096).decode(errors="replace")
-    for line in head.splitlines():
-        if line.startswith("seed = "):
-            return int(line.split(" = ")[1])
-    raise DataFormatError(f"{path}: no seed in manifest")
+        return load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +484,6 @@ def gradient_check(spec: Optional[ModelSpec] = None, seed: int = 0,
 
     logits, caches = model_forward(spec, params, x, training=True,
                                    rng=np.random.default_rng(mask_seed))
-    _, d_logits, _ = ops.softmax_xent(logits, labels)
+    _, d_logits = ops.softmax_xent(logits, labels)
     grads = model_backward(spec, params, caches, d_logits)
     return ops.finite_diff_check(loss_fn, params, grads, h)

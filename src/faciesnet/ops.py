@@ -18,23 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError, ShapeError
 
-# When True, every op rejects NaN/Inf at its boundaries. Off by default:
-# the checks cost a full pass over the data.
-CHECKED = False
-
-
-def checked_mode(enabled: bool) -> None:
-    """Toggle NaN/Inf rejection at op boundaries."""
-    global CHECKED
-    CHECKED = bool(enabled)
-
-
-def _ensure_finite(name: str, *arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NumericError(f"non-finite values in {name}")
-
-
 def _batched(x: np.ndarray, op: str) -> tuple[np.ndarray, bool]:
     """Promote (C, L) to (1, C, L); remember whether to squeeze on return."""
     x = np.asarray(x)
@@ -49,19 +32,12 @@ def _batched(x: np.ndarray, op: str) -> tuple[np.ndarray, bool]:
 class LayerCache:
     """Saved forward-pass state a layer needs for its backward pass."""
 
-    kind: str
-    x: Optional[np.ndarray] = None          # forward input
-    kernels: Optional[np.ndarray] = None    # conv kernels / dense weights
-    padding: str = "same"
     positions: Optional[np.ndarray] = None  # max-pool argmax, padded coords
     pad_left: int = 0
     in_length: int = 0
     padded_length: int = 0
     mask: Optional[np.ndarray] = None       # dropout keep-mask, pre-scaled
     squeeze: bool = False
-    probs: Optional[np.ndarray] = None      # softmax output for fused loss
-    labels: Optional[np.ndarray] = None
-    sample_weights: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +64,6 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"input has {xb.shape[1]} channels, kernels expect {n_in}")
     if bias.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {bias.shape}")
-    if CHECKED:
-        _ensure_finite("conv1d", xb, kernels, bias)
 
     length = xb.shape[2]
     if padding == "same":
@@ -159,8 +133,6 @@ def pool1d(x: np.ndarray, kernel: int, stride: Optional[int] = None,
     stride = kernel if stride is None else stride
     if kernel < 1 or stride < 1:
         raise ShapeError(f"kernel and stride must be >= 1, got {kernel}, {stride}")
-    if CHECKED:
-        _ensure_finite("pool1d", xb)
 
     length = xb.shape[2]
     if padding == "same":
@@ -186,7 +158,7 @@ def pool1d(x: np.ndarray, kernel: int, stride: Optional[int] = None,
         vals = np.concatenate([vals, tail.max(axis=2)[..., None]], axis=2)
         pos = np.concatenate([pos, (start + tail.argmax(axis=2))[..., None]], axis=2)
 
-    cache = LayerCache(kind="pool", positions=pos, pad_left=pad_left,
+    cache = LayerCache(positions=pos, pad_left=pad_left,
                        in_length=length, padded_length=lp, squeeze=squeeze)
     return (vals[0] if squeeze else vals), cache
 
@@ -226,8 +198,6 @@ def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
         raise ShapeError(f"dense expects {n} inputs, got {x.shape[-1]}")
     if bias.shape != (m,):
         raise ShapeError(f"bias must have shape ({m},), got {bias.shape}")
-    if CHECKED:
-        _ensure_finite("dense", x, weights, bias)
     return x @ weights.T + bias
 
 
@@ -294,10 +264,10 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator,
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     x = np.asarray(x)
     if not training or rate == 0.0:
-        return x, LayerCache(kind="dropout", mask=None)
+        return x, LayerCache()
     keep = rng.random(x.shape) >= rate
     mask = keep.astype(x.dtype) / (1.0 - rate)
-    return x * mask, LayerCache(kind="dropout", mask=mask)
+    return x * mask, LayerCache(mask=mask)
 
 
 def dropout_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
@@ -314,16 +284,18 @@ def dropout_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray,
                  class_weights: Optional[np.ndarray] = None,
-                 ) -> tuple[float, np.ndarray, np.ndarray]:
+                 ) -> tuple[float, np.ndarray]:
     """Mean weighted cross-entropy over a batch, with its fused gradient.
 
-    labels are 0-based class indices. Returns (loss, d_logits, probs);
+    labels are 0-based class indices. Returns (loss, d_logits);
     d_logits is w_y * (softmax - onehot) / B, computed via a stable
     log-sum-exp so the loss never sees log(0).
     """
     z = np.atleast_2d(np.asarray(logits))
     labels = np.atleast_1d(np.asarray(labels))
     b, f = z.shape
+    if b == 0:
+        raise ShapeError("empty label batch")
     if labels.shape != (b,):
         raise ShapeError(f"expected {b} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= f:
@@ -336,66 +308,10 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray,
         np.asarray(class_weights, dtype=z.dtype)[labels]
     loss = float(np.mean(-w * log_p_true))
 
-    probs = softmax(z)
-    d_logits = probs.copy()
+    d_logits = softmax(z)
     d_logits[np.arange(b), labels] -= 1.0
     d_logits *= (w / b)[:, None]
-    return loss, d_logits, probs
-
-
-# ---------------------------------------------------------------------------
-# uniform backward dispatch
-
-def layer_backward(kind: str, cache: LayerCache, upstream_grad: np.ndarray):
-    """Dispatch a backward pass by layer kind.
-
-    Returns (input_grad, param_grads) where param_grads is None for
-    parameterless layers, (d_kernels, d_bias) for conv, and
-    (d_weights, d_bias) for dense.
-    """
-    if kind != cache.kind:
-        raise ShapeError(f"cache was produced by {cache.kind!r}, not {kind!r}")
-    if kind == "conv":
-        d_x, d_k, d_b = conv1d_backward(upstream_grad, cache.x, cache.kernels, cache.padding)
-        return d_x, (d_k, d_b)
-    if kind == "dense":
-        d_x, d_w, d_b = dense_backward(upstream_grad, cache.x, cache.kernels)
-        return d_x, (d_w, d_b)
-    if kind == "relu":
-        return relu_backward(upstream_grad, cache.x), None
-    if kind == "pool":
-        return pool1d_backward(upstream_grad, cache), None
-    if kind == "dropout":
-        return dropout_backward(upstream_grad, cache), None
-    if kind == "softmax_xent":
-        # upstream_grad is the scalar loss gradient, normally 1.0
-        b = cache.probs.shape[0]
-        d = cache.probs.copy()
-        d[np.arange(b), cache.labels] -= 1.0
-        d *= (cache.sample_weights / b)[:, None]
-        return d * upstream_grad, None
-    raise ConfigError(f"unknown layer kind {kind!r}")
-
-
-def conv_cache(x, kernels, padding="same") -> LayerCache:
-    """Build the LayerCache layer_backward expects for a conv1d call."""
-    return LayerCache(kind="conv", x=np.asarray(x), kernels=kernels, padding=padding)
-
-
-def dense_cache(x, weights) -> LayerCache:
-    """Build the LayerCache layer_backward expects for a dense call."""
-    return LayerCache(kind="dense", x=np.asarray(x), kernels=weights)
-
-
-def relu_cache(x) -> LayerCache:
-    return LayerCache(kind="relu", x=np.asarray(x))
-
-
-def xent_cache(probs, labels, sample_weights=None) -> LayerCache:
-    if sample_weights is None:
-        sample_weights = np.ones(probs.shape[0], dtype=probs.dtype)
-    return LayerCache(kind="softmax_xent", probs=probs, labels=labels,
-                      sample_weights=sample_weights)
+    return loss, d_logits
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, ShapeError
 from .evaluation import confusion, precision_recall_f1
 from .network import (Checkpoint, ModelSpec, init_params, model_backward,
                       model_forward)
@@ -26,15 +26,13 @@ from .welldata import (N_FACIES, apply_standardizer, extract_windows,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training protocol knobs; architecture beyond window and dropout
-    lives on ModelSpec."""
+    """Training protocol knobs; the architecture, window and dropout
+    included, lives on ModelSpec."""
 
-    window: int = 31
     batch_size: int = 64
     learning_rate: float = 1e-2
     momentum: float = 0.9
     epochs: int = 100
-    dropout: float = 0.5
     seed: int = 0
     use_class_weights: bool = False
     validation_wells: tuple = ()
@@ -43,8 +41,6 @@ class TrainConfig:
     lr_decay_factor: float = 0.5
 
     def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
-            raise ConfigError(f"window must be odd and >= 1, got {self.window}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
@@ -53,8 +49,6 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if self.lr_decay_every < 0:
@@ -91,7 +85,8 @@ class TrainReport:
                 writer.writerow([r.epoch, repr(r.train_loss), repr(r.train_acc),
                                  repr(r.val_loss), repr(r.val_macro_f1)])
 
-    def to_json(self, path) -> None:
+    def to_json(self, path, spec: ModelSpec) -> None:
+        """Write the run summary: training config and the model spec it trained."""
         summary = {
             "best_epoch": self.best_epoch,
             "seed": self.seed,
@@ -99,27 +94,11 @@ class TrainReport:
             "final_train_loss": self.rows[-1].train_loss if self.rows else None,
             "final_train_acc": self.rows[-1].train_acc if self.rows else None,
             "config": asdict(self.config) if self.config else None,
+            "model": asdict(spec),
         }
         with open(path, "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
-
-
-def cross_entropy(logits: np.ndarray, labels,
-                  class_weights: Optional[np.ndarray] = None,
-                  ) -> tuple[float, np.ndarray]:
-    """Mean weighted cross-entropy over a batch of facies labels (1..9).
-
-    Returns (loss, d_logits) with the fused softmax-minus-onehot
-    gradient, each example scaled by its class weight over batch size.
-    """
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ShapeError("empty label batch")
-    if labels.min() < 1 or labels.max() > N_FACIES:
-        raise DataFormatError(f"facies labels must lie in 1..{N_FACIES}")
-    loss, d_logits, _ = ops.softmax_xent(logits, labels - 1, class_weights)
-    return loss, d_logits
 
 
 def compute_class_weights(counts: dict) -> np.ndarray:
@@ -163,23 +142,15 @@ def sgd_step(params: dict, grads: dict, velocity: dict,
         params[name] = p + v
 
 
-def _resolve_spec(config: TrainConfig, spec: Optional[ModelSpec]) -> ModelSpec:
-    if spec is None:
-        return ModelSpec(window=config.window, dropout=config.dropout)
-    if spec.window != config.window:
-        raise ConfigError(f"model window {spec.window} does not match "
-                          f"training window {config.window}")
-    return spec
-
-
 def _validate(spec, params, windows, labels, batch_size=1024):
     """Inference-mode loss and macro-F1 on a held-out window set."""
+    labels = np.asarray(labels)
     total_loss, preds = 0.0, []
     for start in range(0, len(windows), batch_size):
         x = windows[start:start + batch_size]
         y = labels[start:start + batch_size]
         logits, _ = model_forward(spec, params, x)
-        loss, _ = cross_entropy(logits, y)
+        loss, _ = ops.softmax_xent(logits, y - 1)
         total_loss += loss * len(x)
         preds.append(logits.argmax(axis=1) + 1)
     preds = np.concatenate(preds)
@@ -188,7 +159,7 @@ def _validate(spec, params, windows, labels, batch_size=1024):
 
 
 def train_on_windows(config: TrainConfig, windows, labels,
-                     spec: Optional[ModelSpec] = None,
+                     spec: ModelSpec = ModelSpec(),
                      val_windows=None, val_labels=None,
                      class_weights: Optional[np.ndarray] = None,
                      ) -> tuple[dict, TrainReport]:
@@ -200,7 +171,6 @@ def train_on_windows(config: TrainConfig, windows, labels,
     are running accuracies from the training-mode (dropout-active)
     forward passes.
     """
-    spec = _resolve_spec(config, spec)
     windows = np.asarray(windows)
     labels = np.asarray(labels)
     if len(windows) == 0:
@@ -225,7 +195,7 @@ def train_on_windows(config: TrainConfig, windows, labels,
             idx = perm[start:start + config.batch_size]
             x, y = windows[idx], labels[idx]
             logits, caches = model_forward(spec, params, x, training=True, rng=rng)
-            loss, d_logits = cross_entropy(logits, y, class_weights)
+            loss, d_logits = ops.softmax_xent(logits, y - 1, class_weights)
             grads = model_backward(spec, params, caches, d_logits)
             sgd_step(params, grads, velocity, lr, config.momentum)
             epoch_loss += loss * len(idx)
@@ -256,7 +226,7 @@ def train_on_windows(config: TrainConfig, windows, labels,
 
 def train(config: TrainConfig, train_wells: list,
           validation_wells: Optional[list] = None,
-          spec: Optional[ModelSpec] = None) -> tuple[Checkpoint, TrainReport]:
+          spec: ModelSpec = ModelSpec()) -> tuple[Checkpoint, TrainReport]:
     """Well-level training: standardize, window, fit, bundle a Checkpoint.
 
     Validation wells come either as a second well list or as names in
@@ -275,15 +245,14 @@ def train(config: TrainConfig, train_wells: list,
     if not train_wells:
         raise ConfigError("no training wells")
 
-    spec = _resolve_spec(config, spec)
     standardizer = fit_standardizer(train_wells)
     train_set = merge_window_sets(
-        [extract_windows(apply_standardizer(standardizer, w), config.window)
+        [extract_windows(apply_standardizer(standardizer, w), spec.window)
          for w in train_wells])
     val_windows = val_labels = None
     if validation_wells:
         val_set = merge_window_sets(
-            [extract_windows(apply_standardizer(standardizer, w), config.window)
+            [extract_windows(apply_standardizer(standardizer, w), spec.window)
              for w in validation_wells])
         val_windows, val_labels = val_set.windows, val_set.labels
 

@@ -2,6 +2,7 @@
 depth-window extraction, and train/blind splitting by whole wells."""
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -14,32 +15,17 @@ CHANNELS = ("GR", "ILD_log10", "DeltaPHI", "PHIND", "PE", "NM_M", "RELPOS")
 
 N_FACIES = 9
 FACIES_CODES = ("SS", "CSiS", "FSiS", "SiSh", "MS", "WS", "D", "PS", "BS")
-FACIES_NAMES = (
-    "Nonmarine sandstone",
-    "Nonmarine coarse siltstone",
-    "Nonmarine fine siltstone",
-    "Marine siltstone and shale",
-    "Mudstone",
-    "Wackestone",
-    "Dolomite",
-    "Packstone-grainstone",
-    "Phylloid-algal bafflestone",
-)
 
 _REQUIRED_COLUMNS = ("Well Name", "Depth") + CHANNELS
 
 
 @dataclass(frozen=True)
 class FaciesTable:
-    """The 9 facies classes and which pairs count as geological neighbours."""
+    """Which pairs of the 9 facies count as geological neighbours."""
 
-    codes: tuple = FACIES_CODES
-    names: tuple = FACIES_NAMES
     adjacency: dict = field(default_factory=lambda: default_adjacency())
 
     def __post_init__(self):
-        if len(self.codes) != N_FACIES or len(self.names) != N_FACIES:
-            raise ConfigError(f"facies table must have exactly {N_FACIES} entries")
         for f, neighbours in self.adjacency.items():
             if f in neighbours:
                 raise ConfigError(f"facies {f} listed adjacent to itself")
@@ -48,9 +34,6 @@ class FaciesTable:
                     raise ConfigError(f"adjacency references unknown facies {g}")
                 if f not in self.adjacency.get(g, set()):
                     raise ConfigError(f"adjacency not symmetric: {f}->{g} but not {g}->{f}")
-
-    def code(self, facies_id: int) -> str:
-        return self.codes[facies_id - 1]
 
 
 def default_adjacency() -> dict:
@@ -76,25 +59,31 @@ def load_adjacency(path) -> dict:
         try:
             f = int(token)
         except ValueError:
-            raise DataFormatError(f"adjacency line {line_no}: unknown facies {token!r}")
+            raise DataFormatError(f"{path}: line {line_no}: unknown facies {token!r}")
         if not 1 <= f <= N_FACIES:
-            raise DataFormatError(f"adjacency line {line_no}: facies id {f} out of range")
+            raise DataFormatError(f"{path}: line {line_no}: facies id {f} out of range")
         return f
 
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: adjacency file is not UTF-8 text")
     adj = {f: set() for f in range(1, N_FACIES + 1)}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise DataFormatError(f"adjacency line {line_no}: expected 'facies: neighbours'")
-            left, right = line.split(":", 1)
-            f = to_id(left, line_no)
-            ids = [to_id(t, line_no) for t in right.split(",") if t.strip()]
-            adj[f].update(ids)
-    table = FaciesTable(adjacency=adj)  # validates symmetry / self-adjacency
-    return table.adjacency
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise DataFormatError(f"{path}: line {line_no}: expected 'facies: neighbours'")
+        left, right = line.split(":", 1)
+        f = to_id(left, line_no)
+        ids = [to_id(t, line_no) for t in right.split(",") if t.strip()]
+        adj[f].update(ids)
+    try:
+        return FaciesTable(adjacency=adj).adjacency
+    except ConfigError as exc:  # asymmetric or self-adjacent
+        raise ConfigError(f"{path}: {exc}")
 
 
 @dataclass
@@ -130,15 +119,36 @@ class Well:
         return np.stack([self.channels[c] for c in CHANNELS])
 
 
+def _utf8_lines(fh, path):
+    """Lines of a file opened as UTF-8 text; the first byte that is not
+    UTF-8 raises DataFormatError naming its row."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        # the text layer decodes in chunks, so find the byte in the raw file
+        with open(path, "rb") as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row_no = data.count(b"\n", 0, exc.start) + 1
+            raise DataFormatError(f"{path}: row {row_no}: not UTF-8 text")
+        raise
+
+
 def parse_csv(path, allow_missing_pe: bool = False) -> list:
     """Read wells from the contest-layout CSV.
 
     Header: Facies,Formation,Well Name,Depth,GR,ILD_log10,DeltaPHI,PHIND,
     PE,NM_M,RELPOS. Facies and Formation are optional. Rows are grouped
-    by well name and depth-sorted; empty numeric cells become NaN gaps.
+    by well name and depth-sorted; empty and `nan` numeric cells become
+    NaN gaps (in Facies, unlabeled samples). Non-UTF-8 bytes, a row
+    shorter than the header, an infinite value, a Facies cell that is
+    not an integer and a file without data rows raise DataFormatError
+    naming the file and row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -152,38 +162,52 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
             if name == "PE" and allow_missing_pe:
                 continue
             raise DataFormatError(f"{path}: missing required column {name!r}")
-        has_facies = "Facies" in col
         has_formation = "Formation" in col
 
         rows = {}
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) < len(header):
+                raise DataFormatError(f"{path}: row {row_no}: {len(row)} cells for "
+                                      f"{len(header)} header columns")
             well_name = row[col["Well Name"]].strip()
-            rec = rows.setdefault(well_name, {"depth": [], "facies": [], "formation": [],
-                                              **{c: [] for c in CHANNELS}})
+            rec = rows.get(well_name)
+            if rec is None:
+                rec = rows[well_name] = {"depth": [], "facies": [], "formation": [],
+                                         **{c: [] for c in CHANNELS}}
 
             def cell(name):
                 idx = col.get(name)
-                return row[idx].strip() if idx is not None and idx < len(row) else ""
+                return row[idx].strip() if idx is not None else ""
 
             def numeric(name, text):
                 if text == "":
                     return np.nan
                 try:
-                    return float(text)
+                    value = float(text)
                 except ValueError:
                     raise DataFormatError(f"{path}: row {row_no}: non-numeric "
                                           f"{name} value {text!r}")
+                if math.isinf(value):
+                    raise DataFormatError(f"{path}: row {row_no}: well {well_name}: "
+                                          f"{name} value {text!r} is not finite")
+                return value
 
             depth = numeric("Depth", cell("Depth"))
-            if np.isnan(depth):
+            if math.isnan(depth):
                 raise DataFormatError(f"{path}: row {row_no}: missing Depth")
             rec["depth"].append(depth)
             for c in CHANNELS:
                 rec[c].append(numeric(c, cell(c)))
-            rec["facies"].append(cell("Facies") if has_facies else "")
+            facies = numeric("Facies", cell("Facies"))
+            if not (math.isnan(facies) or facies.is_integer()):
+                raise DataFormatError(f"{path}: row {row_no}: well {well_name}: Facies "
+                                      f"{cell('Facies')!r} is not an integer facies id")
+            rec["facies"].append(facies)
             rec["formation"].append(cell("Formation") if has_formation else "")
+        if not rows:
+            raise DataFormatError(f"{path}: no data rows")
 
     wells = []
     for name, rec in rows.items():
@@ -191,17 +215,15 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
         depth = np.array(rec["depth"])[order]
         channels = {c: np.array(rec[c])[order] for c in CHANNELS}
 
-        facies_cells = [rec["facies"][i] for i in order]
-        if has_facies and all(f != "" for f in facies_cells):
-            try:
-                labels = np.array([int(float(f)) for f in facies_cells])
-            except ValueError:
-                raise DataFormatError(f"{path}: well {name}: non-numeric Facies value")
-        elif has_facies and any(f != "" for f in facies_cells):
+        facies = np.array(rec["facies"])[order]
+        unlabeled = np.isnan(facies)
+        if unlabeled.all():
+            labels = None
+        elif unlabeled.any():
             raise DataFormatError(f"{path}: well {name}: partially labeled (some Facies "
                                   f"cells empty)")
         else:
-            labels = None
+            labels = facies.astype(np.int64)
         formation = [rec["formation"][i] for i in order] if has_formation else None
         wells.append(Well(name, depth, channels, labels, formation))
     return wells
@@ -234,26 +256,6 @@ class Standardizer:
 
     mean: dict
     std: dict
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for c in CHANNELS:
-                fh.write(f"{c} {self.mean[c]!r} {self.std[c]!r}\n")
-
-    @classmethod
-    def load(cls, path) -> "Standardizer":
-        mean, std = {}, {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise DataFormatError(f"{path}: bad standardizer line {line!r}")
-                mean[parts[0]] = float(parts[1])
-                std[parts[0]] = float(parts[2])
-        missing = [c for c in CHANNELS if c not in mean]
-        if missing:
-            raise DataFormatError(f"{path}: standardizer missing channels {missing}")
-        return cls(mean, std)
 
 
 def fit_standardizer(wells: list) -> Standardizer:
@@ -308,8 +310,6 @@ class WindowSet:
 
     windows: np.ndarray       # (n, 7, W) float32
     labels: np.ndarray        # (n,) facies ids 1..9
-    well_names: list
-    center_depths: np.ndarray
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -340,8 +340,7 @@ def extract_windows(well: Well, width: int, dtype=np.float32) -> WindowSet:
     if well.labels is None:
         raise MissingLabelsError(f"well {well.name} has no facies labels; "
                                  f"use the prediction path for unlabeled wells")
-    return WindowSet(window_matrix(well, width, dtype), well.labels.copy(),
-                     [well.name] * len(well), well.depth.copy())
+    return WindowSet(window_matrix(well, width, dtype), well.labels.copy())
 
 
 def merge_window_sets(sets: list) -> WindowSet:
@@ -351,8 +350,6 @@ def merge_window_sets(sets: list) -> WindowSet:
     return WindowSet(
         np.concatenate([s.windows for s in sets]),
         np.concatenate([s.labels for s in sets]),
-        sum((s.well_names for s in sets), []),
-        np.concatenate([s.center_depths for s in sets]),
     )
 
 

@@ -151,7 +151,7 @@ def test_criterion_4_memorization(announce):
     labels = rng.integers(1, 10, size=64)
     config = TrainConfig(epochs=500)
     params, _ = train_on_windows(config, windows, labels)
-    spec = ModelSpec(window=config.window, dropout=config.dropout)
+    spec = ModelSpec()
     logits, _ = model_forward(spec, params, windows)
     acc = float((logits.argmax(axis=1) + 1 == labels).mean())
     elapsed = time.perf_counter() - t0

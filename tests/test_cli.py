@@ -3,16 +3,18 @@ production, idempotence, exit codes, config handling, fault injection."""
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from faciesnet import ops
-from faciesnet.cli import main, read_config_file
+from faciesnet.cli import SCHEMA, main, read_config_file
 from faciesnet.errors import ConfigError
-from faciesnet.network import Checkpoint
+from faciesnet.network import Checkpoint, InceptionSpec, ModelSpec
 from faciesnet.synth import SynthConfig, generate_wells
-from faciesnet.welldata import parse_csv, write_csv
+from faciesnet.training import TrainConfig
+from faciesnet.welldata import default_adjacency, parse_csv, write_csv
 
 
 SMALL_MODEL_CFG = """
@@ -94,6 +96,15 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             read_config_file(tmp_path / "absent.cfg")
+
+    def test_schema_keys_are_dataclass_fields(self):
+        # build_* hand the keys present straight to the dataclasses
+        def names(cls):
+            return {f.name for f in fields(cls)}
+        assert set(SCHEMA["training"]) == names(TrainConfig)
+        assert set(SCHEMA["synth"]) == names(SynthConfig) - {"means"} | {"wells"}
+        assert set(SCHEMA["model"]) == ((names(ModelSpec) - {"in_channels", "n_classes"})
+                                        | names(InceptionSpec))
 
 
 class TestTrainCommand:
@@ -341,3 +352,89 @@ class TestExitCodeMapping:
     def test_unknown_command_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs: every malformed file ends in its exit code, names the
+# file, and never escapes main as a traceback
+
+def _manifest_line(prefix, line):
+    def edit(raw):
+        head, marker, blob = raw.partition(b"\n[blob]\n")
+        lines = [line if old.startswith(prefix) else old for old in head.split(b"\n")]
+        return b"\n".join(lines) + marker + blob
+    return edit
+
+
+def _first_row_cell(column, value):
+    def edit(raw):
+        lines = raw.split(b"\n")
+        cells = lines[1].split(b",")
+        cells[column] = value
+        lines[1] = b",".join(cells)
+        return b"\n".join(lines)
+    return edit
+
+
+NOT_UTF8 = b"# \xff\n"
+
+# (input, file replaced, how, exit code); None makes the file a directory
+HOSTILE = [
+    ("ckpt-seed", "checkpoint", _manifest_line(b"seed = ", b"seed = x"), 3),
+    ("ckpt-param-dim", "checkpoint",
+     _manifest_line(b"param stem.bias ", b"param stem.bias four"), 3),
+    ("ckpt-std-one-float", "checkpoint", _manifest_line(b"std.GR = ", b"std.GR = 1.0"), 3),
+    ("ckpt-std-zero", "checkpoint", _manifest_line(b"std.GR = ", b"std.GR = 0.0 0.0"), 3),
+    ("ckpt-mean-nan", "checkpoint", _manifest_line(b"std.GR = ", b"std.GR = nan 1.0"), 3),
+    ("ckpt-not-utf8", "checkpoint", _manifest_line(b"seed = ", b"seed = 1\xff"), 3),
+    ("ckpt-nan-param", "checkpoint",
+     lambda raw: raw[:-4] + np.float32(np.nan).tobytes(), 3),
+    ("csv-short-row", "data", lambda raw: raw + b"3,A\n", 3),
+    ("csv-facies-inf", "data", _first_row_cell(0, b"inf"), 3),
+    ("csv-facies-fraction", "data", _first_row_cell(0, b"1.5"), 3),
+    ("csv-log-inf", "data", _first_row_cell(4, b"inf"), 3),
+    ("csv-log-minus-inf", "data", _first_row_cell(4, b"-inf"), 3),
+    ("csv-not-utf8", "data", _first_row_cell(1, b"\xff"), 3),
+    ("csv-header-only", "data", lambda raw: raw.split(b"\n")[0] + b"\n", 3),
+    ("config-not-utf8", "config", lambda raw: raw + NOT_UTF8, 2),
+    ("adjacency-not-utf8", "adjacency", lambda raw: raw + NOT_UTF8, 2),
+    ("data-dir", "data", None, 2),
+    ("config-dir", "config", None, 2),
+    ("adjacency-dir", "adjacency", None, 2),
+    ("checkpoint-dir", "checkpoint", None, 2),
+]
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    """A valid checkpoint, labeled CSV, config and adjacency file for evaluate."""
+    tmp = tmp_path_factory.mktemp("good")
+    wells = generate_wells(SynthConfig(n_samples=60, seed=40), 2)
+    write_csv(wells, tmp / "wells.csv")
+    (tmp / "small.cfg").write_text(SMALL_MODEL_CFG)
+    assert main(["train", str(tmp / "wells.csv"), "--config", str(tmp / "small.cfg"),
+                 "--out", str(tmp / "run")]) == 0
+    (tmp / "adj.txt").write_text("".join(
+        f"{f}: {', '.join(str(g) for g in sorted(n))}\n"
+        for f, n in default_adjacency().items()))
+    return {"checkpoint": tmp / "run" / "model.fnet", "data": tmp / "wells.csv",
+            "config": tmp / "small.cfg", "adjacency": tmp / "adj.txt"}
+
+
+@pytest.mark.parametrize("target, corrupt, code",
+                         [row[1:] for row in HOSTILE], ids=[row[0] for row in HOSTILE])
+def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, target, corrupt, code):
+    paths = dict(good_inputs)
+    bad = tmp_path / f"bad-{good_inputs[target].name}"
+    if corrupt is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(corrupt(good_inputs[target].read_bytes()))
+    paths[target] = bad
+    capsys.readouterr()
+    assert main(["evaluate", str(paths["checkpoint"]), str(paths["data"]),
+                 "--config", str(paths["config"]), "--adjacency", str(paths["adjacency"]),
+                 "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err

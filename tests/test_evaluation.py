@@ -263,10 +263,10 @@ class TestPredictWithConfidence:
         assert series.bands == [confidence_band(c) for c in series.confidence]
 
     def test_standardizer_channel_mismatch_rejected(self):
-        bad = Standardizer({"NOT_A_LOG": 0.0}, {"NOT_A_LOG": 1.0})
+        model = tiny_checkpoint()
+        model.standardizer = Standardizer({"NOT_A_LOG": 0.0}, {"NOT_A_LOG": 1.0})
         with pytest.raises(ShapeError):
-            predict_with_confidence(tiny_checkpoint(), labeled_well(20),
-                                    standardizer=bad)
+            predict_with_confidence(model, labeled_well(20))
 
 
 class TestExport:

@@ -272,7 +272,8 @@ class TestCheckpoint:
         params = init_params(spec, seed=11)
         path = tmp_path / "model.fnet"
         save_checkpoint(spec, params, toy_standardizer(), path, seed=11)
-        spec2, params2, std2 = load_checkpoint(path)
+        loaded = load_checkpoint(path)
+        spec2, params2, std2 = loaded.spec, loaded.params, loaded.standardizer
         assert spec2 == spec
         assert list(params2) == list(params)
         for name in params:
@@ -294,7 +295,8 @@ class TestCheckpoint:
         params = init_params(spec, seed=6)
         path = tmp_path / "model.fnet"
         save_checkpoint(spec, params, toy_standardizer(), path)
-        spec2, params2, _ = load_checkpoint(path)
+        loaded = load_checkpoint(path)
+        spec2, params2 = loaded.spec, loaded.params
         x = np.random.default_rng(6).standard_normal((3, 7, 9)).astype(np.float32)
         before, _ = model_forward(spec, params, x)
         after, _ = model_forward(spec2, params2, x)
@@ -324,7 +326,7 @@ class TestCheckpoint:
         params = init_params(spec, seed=0)
         path = tmp_path / "model.fnet"
         save_checkpoint(spec, params, toy_standardizer(), path, seed=42)
-        assert network.checkpoint_seed(path) == 42
+        assert load_checkpoint(path).seed == 42
 
     def test_mismatched_param_shape_rejected(self, tmp_path):
         spec = tiny_spec()

@@ -9,15 +9,20 @@ import math
 import numpy as np
 import pytest
 
-from faciesnet.errors import ConfigError, DataFormatError, ShapeError
+from faciesnet import ops
+from faciesnet.errors import ConfigError, ShapeError
 from faciesnet.network import (InceptionSpec, ModelSpec, init_params,
                                model_backward, model_forward)
 from faciesnet.synth import SynthConfig, generate_well, generate_wells
-from faciesnet.training import (TrainConfig, TrainReport, compute_class_weights,
-                                cross_entropy, sgd_step, train, train_on_windows,
-                                _validate)
+from faciesnet.training import (TrainConfig, compute_class_weights, sgd_step,
+                                train, train_on_windows, _validate)
 from faciesnet.welldata import (apply_standardizer, extract_windows,
                                 fit_standardizer, merge_window_sets)
+
+
+def cross_entropy(logits, facies, class_weights=None):
+    """The training loss: softmax_xent over facies ids 1..9."""
+    return ops.softmax_xent(logits, np.asarray(facies) - 1, class_weights)
 
 
 def small_spec(window=9, dropout=0.0):
@@ -29,14 +34,13 @@ def small_spec(window=9, dropout=0.0):
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
-        assert cfg.window == 31
         assert cfg.batch_size == 64
         assert cfg.learning_rate == 1e-2
         assert cfg.momentum == 0.9
 
     @pytest.mark.parametrize("kwargs", [
-        {"window": 30}, {"batch_size": 0}, {"learning_rate": 0.0},
-        {"momentum": 1.0}, {"epochs": 0}, {"dropout": 1.0},
+        {"batch_size": 0}, {"learning_rate": 0.0},
+        {"momentum": 1.0}, {"epochs": 0},
         {"patience": -1}, {"lr_decay_every": -1}, {"lr_decay_factor": 0.0},
     ])
     def test_invalid_values_rejected(self, kwargs):
@@ -70,9 +74,9 @@ class TestCrossEntropy:
         np.testing.assert_allclose(d.sum(axis=1), 0.0, atol=1e-12)
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ShapeError):
             cross_entropy(np.zeros((1, 9)), [0])
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ShapeError):
             cross_entropy(np.zeros((1, 9)), [10])
 
     def test_empty_batch_rejected(self):
@@ -181,7 +185,7 @@ def synth_windows(n_samples=200, seed=0, window=9, sigma=0.5):
 class TestTrainOnWindows:
     def test_bit_identical_across_runs(self):
         x, y = synth_windows()
-        cfg = TrainConfig(window=9, epochs=5, batch_size=32, dropout=0.25, seed=3)
+        cfg = TrainConfig(epochs=5, batch_size=32, seed=3)
         spec = small_spec(dropout=0.25)
         params_a, report_a = train_on_windows(cfg, x, y, spec=spec)
         params_b, report_b = train_on_windows(cfg, x, y, spec=spec)
@@ -192,15 +196,15 @@ class TestTrainOnWindows:
     def test_seed_changes_trajectory(self):
         x, y = synth_windows()
         spec = small_spec()
-        a, _ = train_on_windows(TrainConfig(window=9, epochs=2, seed=0), x, y, spec=spec)
-        b, _ = train_on_windows(TrainConfig(window=9, epochs=2, seed=1), x, y, spec=spec)
+        a, _ = train_on_windows(TrainConfig(epochs=2, seed=0), x, y, spec=spec)
+        b, _ = train_on_windows(TrainConfig(epochs=2, seed=1), x, y, spec=spec)
         assert not np.array_equal(a["stem.kernels"], b["stem.kernels"])
 
     def test_fixed_batch_loss_nonincreasing(self):
         # full-batch steps at a small lr descend; SGD noise allowance <= 5
         x, y = synth_windows(n_samples=64 + 8, window=9)
-        cfg = TrainConfig(window=9, epochs=100, batch_size=len(x),
-                          learning_rate=1e-3, dropout=0.0, lr_decay_every=0)
+        cfg = TrainConfig(epochs=100, batch_size=len(x),
+                          learning_rate=1e-3, lr_decay_every=0)
         _, report = train_on_windows(cfg, x, y, spec=small_spec())
         losses = [r.train_loss for r in report.rows]
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
@@ -213,14 +217,14 @@ class TestTrainOnWindows:
         y = rng.integers(1, 10, size=64)
         cfg = TrainConfig(epochs=500)
         params, _ = train_on_windows(cfg, x, y)
-        spec = ModelSpec(window=cfg.window, dropout=cfg.dropout)
+        spec = ModelSpec()
         logits, _ = model_forward(spec, params, x)
         acc = float((logits.argmax(axis=1) + 1 == y).mean())
         assert acc >= 0.98
 
     def test_report_row_per_epoch(self):
         x, y = synth_windows()
-        cfg = TrainConfig(window=9, epochs=4)
+        cfg = TrainConfig(epochs=4)
         _, report = train_on_windows(cfg, x, y, spec=small_spec())
         assert [r.epoch for r in report.rows] == [1, 2, 3, 4]
         assert report.best_epoch == 4
@@ -232,7 +236,7 @@ class TestTrainOnWindows:
         # epoch 2 and only then
         x, y = synth_windows()
         spec = small_spec()
-        base = dict(window=9, epochs=3, batch_size=32, seed=5)
+        base = dict(epochs=3, batch_size=32, seed=5)
         _, decayed = train_on_windows(
             TrainConfig(lr_decay_every=1, lr_decay_factor=0.5, **base),
             x, y, spec=spec)
@@ -243,25 +247,25 @@ class TestTrainOnWindows:
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ConfigError):
-            train_on_windows(TrainConfig(window=9),
+            train_on_windows(TrainConfig(),
                              np.zeros((0, 7, 9), dtype=np.float32), np.zeros(0))
 
     def test_window_label_count_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            train_on_windows(TrainConfig(window=9),
+            train_on_windows(TrainConfig(),
                              np.zeros((3, 7, 9), dtype=np.float32), np.ones(2))
 
     def test_spec_window_mismatch_rejected(self):
-        x, y = synth_windows()
-        with pytest.raises(ConfigError):
-            train_on_windows(TrainConfig(window=11), x, y, spec=small_spec(window=9))
+        x, y = synth_windows(window=9)
+        with pytest.raises(ShapeError):
+            train_on_windows(TrainConfig(), x, y, spec=small_spec(window=11))
 
 
 class TestEarlyStopping:
     def build(self, patience, epochs=40):
         x, y = synth_windows(n_samples=300, seed=1, sigma=1.5)
         vx, vy = synth_windows(n_samples=120, seed=2, sigma=1.5)
-        cfg = TrainConfig(window=9, epochs=epochs, batch_size=32,
+        cfg = TrainConfig(epochs=epochs, batch_size=32,
                           patience=patience, seed=0)
         spec = small_spec()
         params, report = train_on_windows(cfg, x, y, spec=spec,
@@ -296,7 +300,7 @@ class TestTrainWells:
         return generate_wells(SynthConfig(n_samples=150, seed=20), 3)
 
     def config(self, **kwargs):
-        base = dict(window=9, epochs=2, batch_size=32, seed=0, dropout=0.0)
+        base = dict(epochs=2, batch_size=32, seed=0)
         base.update(kwargs)
         return TrainConfig(**base)
 
@@ -352,7 +356,7 @@ class TestTrainWells:
 
 class TestTrainReportFiles:
     def build_report(self):
-        cfg = TrainConfig(window=9, epochs=3, batch_size=32, seed=1)
+        cfg = TrainConfig(epochs=3, batch_size=32, seed=1)
         _, report = train_on_windows(cfg, *synth_windows(n_samples=120),
                                      spec=small_spec())
         return report
@@ -374,10 +378,10 @@ class TestTrainReportFiles:
     def test_json_summary(self, tmp_path):
         report = self.build_report()
         path = tmp_path / "report.json"
-        report.to_json(path)
+        report.to_json(path, small_spec())
         with open(path) as fh:
             data = json.load(fh)
         assert data["best_epoch"] == report.best_epoch
         assert data["seed"] == report.seed
         assert data["epochs_run"] == len(report.rows)
-        assert data["config"]["window"] == 9
+        assert data["model"]["window"] == 9

@@ -176,14 +176,6 @@ class TestStandardizer:
         out = wd.apply_standardizer(std, w)
         np.testing.assert_array_equal(out.labels, w.labels)
 
-    def test_save_load_round_trip(self, tmp_path):
-        std = wd.fit_standardizer([make_well(n=30)])
-        p = tmp_path / "std.txt"
-        std.save(p)
-        loaded = wd.Standardizer.load(p)
-        assert loaded.mean == std.mean
-        assert loaded.std == std.std
-
     def test_gaps_excluded_from_fit(self):
         w = make_well(n=4, labels=False)
         w.channels["PE"] = np.array([1.0, np.nan, 3.0, np.nan])
@@ -216,7 +208,6 @@ class TestWindows:
         ws = wd.extract_windows(w, 3)
         assert len(ws) == 5
         np.testing.assert_array_equal(ws.labels, w.labels)
-        np.testing.assert_array_equal(ws.center_depths, w.depth)
 
     def test_center_value_matches_source(self):
         w = make_well(n=9)
@@ -237,7 +228,7 @@ class TestWindows:
         # each well's windows are built from its own samples only
         a, b = make_well("A", n=4, seed=1), make_well("B", n=4, seed=2)
         merged = wd.merge_window_sets([wd.extract_windows(w, 3) for w in (a, b)])
-        assert merged.well_names == ["A"] * 4 + ["B"] * 4
+        np.testing.assert_array_equal(merged.labels, np.concatenate([a.labels, b.labels]))
         logs_a = a.channel_matrix()
         np.testing.assert_allclose(merged.windows[3, :, 2], logs_a[:, 3], rtol=1e-6)
 
@@ -308,11 +299,6 @@ class TestFaciesTable:
         adj[2].add(2)
         with pytest.raises(ConfigError, match="itself"):
             wd.FaciesTable(adjacency=adj)
-
-    def test_codes(self):
-        t = wd.FaciesTable()
-        assert t.code(1) == "SS"
-        assert t.code(9) == "BS"
 
     def test_load_adjacency_codes_and_ids(self, tmp_path):
         p = tmp_path / "adj.txt"
