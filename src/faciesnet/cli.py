@@ -4,7 +4,7 @@ Configuration comes from an INI-style file (sections [data], [model],
 [training], [synth]) with command-line flags taking precedence. Every
 key is schema-checked and all problems are reported together. Exit
 codes: 0 success, 1 check failure, 2 configuration error, 3 data or
-model mismatch, 4 missing labels.
+model mismatch or numeric failure, 4 missing labels.
 """
 
 import argparse
@@ -25,8 +25,8 @@ from .evaluation import (evaluate, export_plot_data, predict_with_confidence,
 from .network import Checkpoint, InceptionSpec, ModelSpec
 from .synth import SynthConfig, generate_wells
 from .training import TrainConfig, train
-from .welldata import (FaciesTable, impute_pe, load_adjacency, parse_csv,
-                       split_by_well, write_csv)
+from .welldata import (FaciesTable, fit_standardizer, impute_pe,
+                       load_adjacency, parse_csv, split_by_well, write_csv)
 
 GRADCHECK_SEEDS = range(5)
 GRADCHECK_TOLERANCE = 1e-4
@@ -172,8 +172,6 @@ def read_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path}: not UTF-8 text")
     except configparser.Error as exc:
@@ -239,24 +237,13 @@ def build_synth_config(cfg: dict, seed_override=None) -> tuple[SynthConfig, int]
 # shared plumbing
 
 def _load_wells(args, cfg):
-    data_path = args.data if getattr(args, "data", None) else \
-        _section(cfg, "data").get("path")
+    data_path = args.data or _section(cfg, "data").get("path")
     if not data_path:
         raise ConfigError("no data file given (positional argument or "
                           "[data] path in the config file)")
-    if not Path(data_path).exists():
-        raise ConfigError(f"data file not found: {data_path}")
     allow_pe = args.allow_missing_pe or _section(cfg, "data").get(
         "allow_missing_pe", False)
     return parse_csv(data_path, allow_missing_pe=allow_pe), allow_pe
-
-
-def _impute_pe_from_wells(wells, reference_wells):
-    """Fill PE gaps with the mean over the reference wells' finite values."""
-    finite = np.concatenate([w.channels["PE"] for w in reference_wells])
-    finite = finite[np.isfinite(finite)]
-    pe_mean = float(finite.mean()) if len(finite) else 0.0
-    return impute_pe(wells, pe_mean)
 
 
 def _blind_names(args, cfg):
@@ -270,9 +257,7 @@ def _adjacency_table(args, cfg) -> FaciesTable:
     if not path:
         return FaciesTable()
     try:
-        return FaciesTable(adjacency=load_adjacency(path))
-    except FileNotFoundError:
-        raise ConfigError(f"adjacency file not found: {path}")
+        return load_adjacency(path)
     except DataFormatError as exc:
         # a broken adjacency file is a configuration problem, not a
         # data/model mismatch
@@ -329,7 +314,8 @@ def cmd_train(args) -> int:
     if blind:
         wells, _ = split_by_well(wells, list(blind))
     if allow_pe:
-        wells = _impute_pe_from_wells(wells, wells)
+        # the mean of the recorded PE values (gaps excluded)
+        wells = impute_pe(wells, fit_standardizer(wells).mean["PE"])
 
     checkpoint, report = train(train_config, wells, spec=spec)
     out = _out_dir(args)
@@ -433,12 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "1-d inception network")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data_arg=True, checkpoint_arg=False):
+    def common(p, checkpoint_arg=False):
         if checkpoint_arg:
             p.add_argument("checkpoint", help="path to a .fnet checkpoint")
-        if data_arg:
-            p.add_argument("data", nargs="?", default=None,
-                           help="well-log CSV (or [data] path in the config)")
+        p.add_argument("data", nargs="?", default=None,
+                       help="well-log CSV (or [data] path in the config)")
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
@@ -481,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
+    if getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
@@ -495,7 +480,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # unreadable or missing file, a directory given as a file
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, ShapeError, NumericError) as exc:
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except (DataFormatError, ShapeError) as exc:
         print(f"data/model mismatch: {exc}", file=sys.stderr)
         return 3
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .errors import DataFormatError, ShapeError
-from .network import Checkpoint, model_forward
+from .network import INFERENCE_BATCH, Checkpoint, model_forward
 from .welldata import (FACIES_CODES, N_FACIES, FaciesTable, Well,
                        apply_standardizer, window_matrix)
 
@@ -214,7 +214,7 @@ def confidence_band(confidence: float) -> str:
 
 
 def predict_with_confidence(model: Checkpoint, well: Well,
-                            batch_size: int = 1024) -> PredictionSeries:
+                            batch_size: int = INFERENCE_BATCH) -> PredictionSeries:
     """One prediction per depth sample via centered windows.
 
     Confidence is the winning softmax probability, annotated with the
@@ -238,7 +238,7 @@ def predict_with_confidence(model: Checkpoint, well: Well,
 # ---------------------------------------------------------------------------
 # export
 
-def export_plot_data(report: EvalReport, predictions, out_dir,
+def export_plot_data(report: EvalReport, series: list, out_dir,
                      train_counts: Optional[dict] = None) -> list:
     """Write plot-ready CSVs; returns the paths written.
 
@@ -248,7 +248,6 @@ def export_plot_data(report: EvalReport, predictions, out_dir,
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    series = predictions if isinstance(predictions, list) else [predictions]
     paths = []
 
     column_path = out / "facies_column.csv"

@@ -4,7 +4,8 @@ and a finite-difference harness to verify them.
 Arrays are plain numpy ndarrays, row-major, float32 in production and
 float64 for gradient checks. Log windows are laid out channels-first:
 (channels, length), or (batch, channels, length) for batched calls.
-Every op accepts either rank and preserves it.
+Every op accepts either rank and preserves it. Convolutions are
+same-padded, so they keep the length.
 
 All functions are pure: state a backward pass needs is returned
 explicitly as a cache, never stored on a module or instance.
@@ -43,14 +44,13 @@ class LayerCache:
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
-           padding: str = "same") -> np.ndarray:
-    """Cross-correlate along the length axis.
+def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Cross-correlate along the length axis, same-padded.
 
-    out[o, t] = sum_c sum_k x[c, t + k - offset] * kernels[o, c, k] + bias[o]
+    out[o, t] = sum_c sum_k x[c, t + k - (K-1)/2] * kernels[o, c, k] + bias[o]
 
-    "same" zero-pads (K-1)/2 each side so the length is preserved;
-    "valid" shrinks the length by K-1. K must be odd.
+    Zero-pads (K-1)/2 samples each side, so the length is preserved.
+    K must be odd.
     """
     xb, squeeze = _batched(x, "conv1d")
     kernels = np.asarray(kernels)
@@ -65,17 +65,8 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
     if bias.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {bias.shape}")
 
-    length = xb.shape[2]
-    if padding == "same":
-        pad = (k - 1) // 2
-        xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
-    elif padding == "valid":
-        if k > length:
-            raise ShapeError(f"kernel {k} longer than input {length} with valid padding")
-        xp = xb
-    else:
-        raise ConfigError(f"unknown padding {padding!r}")
-
+    pad = (k - 1) // 2
+    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
     out = _correlate(xp, kernels) + bias[:, None]
     return out[0] if squeeze else out
 
@@ -91,13 +82,13 @@ def _correlate(xp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return out.reshape(b, lo, n_out).transpose(0, 2, 1)
 
 
-def conv1d_backward(grad: np.ndarray, x: np.ndarray, kernels: np.ndarray,
-                    padding: str = "same") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1d: returns (d_input, d_kernels, d_bias)."""
+def conv1d_backward(grad: np.ndarray, x: np.ndarray,
+                    kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the same-padded conv1d: returns (d_input, d_kernels, d_bias)."""
     xb, squeeze = _batched(x, "conv1d_backward")
     gb, _ = _batched(grad, "conv1d_backward")
     n_out, n_in, k = kernels.shape
-    pad = (k - 1) // 2 if padding == "same" else 0
+    pad = (k - 1) // 2
     xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
     b, _, lp = xp.shape
     lo = lp - k + 1
@@ -120,7 +111,7 @@ def conv1d_backward(grad: np.ndarray, x: np.ndarray, kernels: np.ndarray,
 # ---------------------------------------------------------------------------
 # pooling
 
-def pool1d(x: np.ndarray, kernel: int, stride: Optional[int] = None,
+def pool1d(x: np.ndarray, kernel: int, stride: int,
            padding: str = "valid") -> tuple[np.ndarray, LayerCache]:
     """Max-pool along the length axis.
 
@@ -130,7 +121,6 @@ def pool1d(x: np.ndarray, kernel: int, stride: Optional[int] = None,
     The cache records the argmax position of every window.
     """
     xb, squeeze = _batched(x, "pool1d")
-    stride = kernel if stride is None else stride
     if kernel < 1 or stride < 1:
         raise ShapeError(f"kernel and stride must be >= 1, got {kernel}, {stride}")
 
@@ -203,18 +193,13 @@ def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 def dense_backward(grad: np.ndarray, x: np.ndarray,
                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of dense: returns (d_input, d_weights, d_bias)."""
+    """Gradients of dense for a (B, M) upstream gradient and (B, N) input:
+    returns (d_input, d_weights, d_bias)."""
     grad = np.asarray(grad)
     x = np.asarray(x)
     if grad.shape[-1] != weights.shape[0]:
         raise ShapeError(f"upstream grad width {grad.shape[-1]} != {weights.shape[0]} outputs")
-    if grad.ndim == 1:
-        d_w = np.outer(grad, x)
-        d_b = grad.copy()
-    else:
-        d_w = grad.T @ x
-        d_b = grad.sum(axis=0)
-    return grad @ weights, d_w, d_b
+    return grad @ weights, grad.T @ x, grad.sum(axis=0)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -318,16 +303,15 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray,
 # finite differences
 
 def finite_diff_check(loss_fn: Callable[[dict], float], params: dict,
-                      analytic: dict, h: float = 1e-5) -> tuple[float, str]:
+                      analytic: dict) -> tuple[float, str]:
     """Compare analytic gradients against central differences.
 
-    Perturbs every element of every parameter by +/- h, numerically
+    Perturbs every element of every parameter by +/- h = 1e-5, numerically
     differentiates loss_fn, and returns (worst relative error, id of the
     worst parameter). Run at float64: the 1e-4 tolerance this supports
     is unreachable at float32.
     """
-    if h <= 0:
-        raise ConfigError(f"finite-difference step must be positive, got {h}")
+    h = 1e-5
     worst, worst_id = 0.0, ""
     for name, p in params.items():
         if name not in analytic:

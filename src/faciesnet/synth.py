@@ -47,8 +47,9 @@ class SynthConfig:
         object.__setattr__(self, "means", means)
 
 
-def generate_well(config: SynthConfig, name: str = "") -> Well:
-    """One labeled synthetic well, bit-reproducible for a given seed.
+def generate_well(config: SynthConfig) -> Well:
+    """One labeled synthetic well named SYNTH<seed>, bit-reproducible for
+    a given seed.
 
     The facies chain is drawn first, sample by sample, then all channel
     noise in one block, so the stream layout is stable.
@@ -70,7 +71,7 @@ def generate_well(config: SynthConfig, name: str = "") -> Well:
     depth = DEPTH_START + DEPTH_STEP * np.arange(n, dtype=float)
     channels = {c: values[j].copy() for j, c in enumerate(CHANNELS)}
     labels = states + 1
-    return Well(name=name or f"SYNTH{config.seed:03d}", depth=depth,
+    return Well(name=f"SYNTH{config.seed:03d}", depth=depth,
                 channels=channels, labels=labels)
 
 

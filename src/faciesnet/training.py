@@ -15,10 +15,10 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .evaluation import confusion, precision_recall_f1
-from .network import (Checkpoint, ModelSpec, init_params, model_backward,
-                      model_forward)
+from .network import (INFERENCE_BATCH, Checkpoint, ModelSpec, init_params,
+                      model_backward, model_forward)
 from .welldata import (N_FACIES, apply_standardizer, extract_windows,
                        facies_counts, fit_standardizer, merge_window_sets,
                        split_by_well)
@@ -71,10 +71,9 @@ class EpochRow:
 class TrainReport:
     """One row per completed epoch plus which epoch's weights were kept."""
 
+    config: TrainConfig
     rows: list = field(default_factory=list)
     best_epoch: int = 0
-    seed: int = 0
-    config: Optional[TrainConfig] = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -89,11 +88,11 @@ class TrainReport:
         """Write the run summary: training config and the model spec it trained."""
         summary = {
             "best_epoch": self.best_epoch,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "epochs_run": len(self.rows),
             "final_train_loss": self.rows[-1].train_loss if self.rows else None,
             "final_train_acc": self.rows[-1].train_acc if self.rows else None,
-            "config": asdict(self.config) if self.config else None,
+            "config": asdict(self.config),
             "model": asdict(spec),
         }
         with open(path, "w") as fh:
@@ -142,13 +141,13 @@ def sgd_step(params: dict, grads: dict, velocity: dict,
         params[name] = p + v
 
 
-def _validate(spec, params, windows, labels, batch_size=1024):
+def _validate(spec, params, windows, labels):
     """Inference-mode loss and macro-F1 on a held-out window set."""
     labels = np.asarray(labels)
     total_loss, preds = 0.0, []
-    for start in range(0, len(windows), batch_size):
-        x = windows[start:start + batch_size]
-        y = labels[start:start + batch_size]
+    for start in range(0, len(windows), INFERENCE_BATCH):
+        x = windows[start:start + INFERENCE_BATCH]
+        y = labels[start:start + INFERENCE_BATCH]
         logits, _ = model_forward(spec, params, x)
         loss, _ = ops.softmax_xent(logits, y - 1)
         total_loss += loss * len(x)
@@ -169,7 +168,9 @@ def train_on_windows(config: TrainConfig, windows, labels,
     and tracks the best validation macro-F1 snapshot when a validation
     set is given; otherwise the final parameters win. train_acc rows
     are running accuracies from the training-mode (dropout-active)
-    forward passes.
+    forward passes. A NumericError (non-finite logits: the run
+    diverged) is re-raised naming the epoch, and the batch of a training
+    step.
     """
     windows = np.asarray(windows)
     labels = np.asarray(labels)
@@ -182,7 +183,7 @@ def train_on_windows(config: TrainConfig, windows, labels,
     params = init_params(spec, config.seed)
     rng = np.random.default_rng(config.seed)
     velocity = {}
-    report = TrainReport(rows=[], best_epoch=0, seed=config.seed, config=config)
+    report = TrainReport(config)
     best_f1, best_params, stale = -1.0, None, 0
     n = len(windows)
 
@@ -191,11 +192,14 @@ def train_on_windows(config: TrainConfig, windows, labels,
         lr = config.learning_rate * config.lr_decay_factor ** decays
         perm = rng.permutation(n)
         epoch_loss, hits = 0.0, 0
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             idx = perm[start:start + config.batch_size]
             x, y = windows[idx], labels[idx]
-            logits, caches = model_forward(spec, params, x, training=True, rng=rng)
-            loss, d_logits = ops.softmax_xent(logits, y - 1, class_weights)
+            try:
+                logits, caches = model_forward(spec, params, x, training=True, rng=rng)
+                loss, d_logits = ops.softmax_xent(logits, y - 1, class_weights)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, batch {batch}: {exc}") from exc
             grads = model_backward(spec, params, caches, d_logits)
             sgd_step(params, grads, velocity, lr, config.momentum)
             epoch_loss += loss * len(idx)
@@ -204,8 +208,11 @@ def train_on_windows(config: TrainConfig, windows, labels,
 
         stop = False
         if have_val:
-            row.val_loss, row.val_macro_f1 = _validate(spec, params,
-                                                       val_windows, val_labels)
+            try:
+                row.val_loss, row.val_macro_f1 = _validate(spec, params,
+                                                           val_windows, val_labels)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, validation: {exc}") from exc
             if row.val_macro_f1 > best_f1:
                 best_f1 = row.val_macro_f1
                 best_params = {k: v.copy() for k, v in params.items()}
@@ -225,23 +232,15 @@ def train_on_windows(config: TrainConfig, windows, labels,
 
 
 def train(config: TrainConfig, train_wells: list,
-          validation_wells: Optional[list] = None,
           spec: ModelSpec = ModelSpec()) -> tuple[Checkpoint, TrainReport]:
     """Well-level training: standardize, window, fit, bundle a Checkpoint.
 
-    Validation wells come either as a second well list or as names in
-    config.validation_wells (split out of train_wells). The
-    standardizer is fitted on training wells only.
+    The wells named in config.validation_wells are split out of
+    train_wells for validation. The standardizer is fitted on training
+    wells only.
     """
-    train_wells = list(train_wells)
-    if validation_wells:
-        overlap = {w.name for w in train_wells} & {w.name for w in validation_wells}
-        if overlap:
-            raise ConfigError(f"wells in both train and validation: "
-                              f"{sorted(overlap)}")
-    elif config.validation_wells:
-        train_wells, validation_wells = split_by_well(
-            train_wells, list(config.validation_wells))
+    train_wells, validation_wells = split_by_well(train_wells,
+                                                  list(config.validation_wells))
     if not train_wells:
         raise ConfigError("no training wells")
 

@@ -48,7 +48,7 @@ def default_adjacency() -> dict:
     return adj
 
 
-def load_adjacency(path) -> dict:
+def load_adjacency(path) -> FaciesTable:
     """Read an adjacency map from lines like ``WS: MS, D, PS`` (codes or ids)."""
     code_to_id = {c.upper(): i + 1 for i, c in enumerate(FACIES_CODES)}
 
@@ -81,7 +81,7 @@ def load_adjacency(path) -> dict:
         ids = [to_id(t, line_no) for t in right.split(",") if t.strip()]
         adj[f].update(ids)
     try:
-        return FaciesTable(adjacency=adj).adjacency
+        return FaciesTable(adjacency=adj)
     except ConfigError as exc:  # asymmetric or self-adjacent
         raise ConfigError(f"{path}: {exc}")
 
@@ -144,8 +144,9 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
     by well name and depth-sorted; empty and `nan` numeric cells become
     NaN gaps (in Facies, unlabeled samples). Non-UTF-8 bytes, a row
     shorter than the header, an infinite value, a Facies cell that is
-    not an integer and a file without data rows raise DataFormatError
-    naming the file and row.
+    not an integer facies id 1..9, a depth repeated within a well and a
+    file without data rows raise DataFormatError naming the file and
+    the row (both rows for a repeated depth).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
@@ -174,8 +175,8 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
             well_name = row[col["Well Name"]].strip()
             rec = rows.get(well_name)
             if rec is None:
-                rec = rows[well_name] = {"depth": [], "facies": [], "formation": [],
-                                         **{c: [] for c in CHANNELS}}
+                rec = rows[well_name] = {"row": [], "depth": [], "facies": [],
+                                         "formation": [], **{c: [] for c in CHANNELS}}
 
             def cell(name):
                 idx = col.get(name)
@@ -197,13 +198,16 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
             depth = numeric("Depth", cell("Depth"))
             if math.isnan(depth):
                 raise DataFormatError(f"{path}: row {row_no}: missing Depth")
+            rec["row"].append(row_no)
             rec["depth"].append(depth)
             for c in CHANNELS:
                 rec[c].append(numeric(c, cell(c)))
             facies = numeric("Facies", cell("Facies"))
-            if not (math.isnan(facies) or facies.is_integer()):
+            if not (math.isnan(facies) or (facies.is_integer()
+                                           and 1 <= facies <= N_FACIES)):
                 raise DataFormatError(f"{path}: row {row_no}: well {well_name}: Facies "
-                                      f"{cell('Facies')!r} is not an integer facies id")
+                                      f"{cell('Facies')!r} is not a facies id "
+                                      f"1..{N_FACIES}")
             rec["facies"].append(facies)
             rec["formation"].append(cell("Formation") if has_formation else "")
         if not rows:
@@ -213,6 +217,13 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
     for name, rec in rows.items():
         order = np.argsort(np.array(rec["depth"]), kind="stable")
         depth = np.array(rec["depth"])[order]
+        repeats = np.flatnonzero(np.diff(depth) == 0)
+        if repeats.size:
+            i = repeats[0]
+            first, second = rec["row"][order[i]], rec["row"][order[i + 1]]
+            raise DataFormatError(f"{path}: rows {first} and {second}: well {name}: "
+                                  f"depth {float(depth[i])!r} repeated, so depth is not "
+                                  f"strictly increasing")
         channels = {c: np.array(rec[c])[order] for c in CHANNELS}
 
         facies = np.array(rec["facies"])[order]
@@ -315,8 +326,8 @@ class WindowSet:
         return len(self.labels)
 
 
-def window_matrix(well: Well, width: int, dtype=np.float32) -> np.ndarray:
-    """Centered windows for every sample: (n_samples, 7, width).
+def window_matrix(well: Well, width: int) -> np.ndarray:
+    """Centered float32 windows for every sample: (n_samples, 7, width).
 
     Boundary windows replicate the well's edge samples, so no window
     ever borrows data from another well.
@@ -332,15 +343,15 @@ def window_matrix(well: Well, width: int, dtype=np.float32) -> np.ndarray:
     padded = np.pad(logs, ((0, 0), (half, half)), mode="edge")
     # sliding view (7, n, width) -> one window per original sample
     view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
-    return np.ascontiguousarray(view.transpose(1, 0, 2), dtype=dtype)
+    return np.ascontiguousarray(view.transpose(1, 0, 2), dtype=np.float32)
 
 
-def extract_windows(well: Well, width: int, dtype=np.float32) -> WindowSet:
+def extract_windows(well: Well, width: int) -> WindowSet:
     """One labeled example per sample, window centered on that sample."""
     if well.labels is None:
         raise MissingLabelsError(f"well {well.name} has no facies labels; "
                                  f"use the prediction path for unlabeled wells")
-    return WindowSet(window_matrix(well, width, dtype), well.labels.copy())
+    return WindowSet(window_matrix(well, width), well.labels.copy())
 
 
 def merge_window_sets(sets: list) -> WindowSet:

@@ -94,7 +94,7 @@ class TestConfigFile:
         assert "window" in message
 
     def test_missing_config_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
+        with pytest.raises(FileNotFoundError):
             read_config_file(tmp_path / "absent.cfg")
 
     def test_schema_keys_are_dataclass_fields(self):
@@ -135,7 +135,7 @@ class TestTrainCommand:
         code = main(["train", str(tmp_path / "absent.csv"),
                      "--config", str(small_cfg)])
         assert code == 2
-        assert "not found" in capsys.readouterr().err
+        assert str(tmp_path / "absent.csv") in capsys.readouterr().err
 
     def test_no_data_argument_exit_2(self, small_cfg):
         assert main(["train", "--config", str(small_cfg)]) == 2
@@ -310,8 +310,8 @@ class TestGradcheckCommand:
     def test_corrupted_conv_backward_fails(self, capsys, monkeypatch):
         true_backward = ops.conv1d_backward
 
-        def broken(grad, x, kernels, padding="same"):
-            d_x, d_k, d_b = true_backward(grad, x, kernels, padding)
+        def broken(grad, x, kernels):
+            d_x, d_k, d_b = true_backward(grad, x, kernels)
             return d_x, d_k * 1.01, d_b
 
         monkeypatch.setattr(ops, "conv1d_backward", broken)
@@ -355,8 +355,8 @@ class TestExitCodeMapping:
 
 
 # ---------------------------------------------------------------------------
-# hostile inputs: every malformed file ends in its exit code, names the
-# file, and never escapes main as a traceback
+# hostile inputs: every malformed file or diverging run ends in its exit
+# code, says where on stderr, and never escapes main as a traceback
 
 def _manifest_line(prefix, line):
     def edit(raw):
@@ -376,10 +376,20 @@ def _first_row_cell(column, value):
     return edit
 
 
-NOT_UTF8 = b"# \xff\n"
+def _repeat_first_row(raw):
+    lines = raw.split(b"\n")
+    return b"\n".join(lines[:2] + lines[1:])
 
-# (input, file replaced, how, exit code); None makes the file a directory
-HOSTILE = [
+
+NOT_UTF8 = b"# \xff\n"
+DIRECTORY, ABSENT = "directory", "absent"  # the file becomes a directory, or is not there
+EVALUATE = ("evaluate",)
+TRAIN = ("train",)
+ALL_BLIND = ("train", "--blind-wells", "SYNTH040,SYNTH041", "--allow-missing-pe")
+
+# (input, command, file replaced, how, exit code, text stderr must hold);
+# "{bad}" in the text stands for the replaced file
+FILE_ROWS = [
     ("ckpt-seed", "checkpoint", _manifest_line(b"seed = ", b"seed = x"), 3),
     ("ckpt-param-dim", "checkpoint",
      _manifest_line(b"param stem.bias ", b"param stem.bias four"), 3),
@@ -398,10 +408,22 @@ HOSTILE = [
     ("csv-header-only", "data", lambda raw: raw.split(b"\n")[0] + b"\n", 3),
     ("config-not-utf8", "config", lambda raw: raw + NOT_UTF8, 2),
     ("adjacency-not-utf8", "adjacency", lambda raw: raw + NOT_UTF8, 2),
-    ("data-dir", "data", None, 2),
-    ("config-dir", "config", None, 2),
-    ("adjacency-dir", "adjacency", None, 2),
-    ("checkpoint-dir", "checkpoint", None, 2),
+    ("data-dir", "data", DIRECTORY, 2),
+    ("config-dir", "config", DIRECTORY, 2),
+    ("adjacency-dir", "adjacency", DIRECTORY, 2),
+    ("checkpoint-dir", "checkpoint", DIRECTORY, 2),
+    ("config-missing", "config", ABSENT, 2),
+    ("data-missing", "data", ABSENT, 2),
+    ("adjacency-missing", "adjacency", ABSENT, 2),
+]
+HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
+           for name, target, how, code in FILE_ROWS] + [
+    ("csv-facies-12", EVALUATE, "data", _first_row_cell(0, b"12"), 3, ("{bad}", "row 2")),
+    ("csv-depth-repeated", EVALUATE, "data", _repeat_first_row, 3,
+     ("{bad}", "rows 2 and 3")),
+    ("train-diverges", TRAIN, "config", lambda raw: raw + b"learning_rate = 1e6\n", 3,
+     ("numeric failure", "epoch 1, batch ")),
+    ("all-blind-missing-pe", ALL_BLIND, None, None, 2, ("configuration error",)),
 ]
 
 
@@ -421,20 +443,25 @@ def good_inputs(tmp_path_factory):
             "config": tmp / "small.cfg", "adjacency": tmp / "adj.txt"}
 
 
-@pytest.mark.parametrize("target, corrupt, code",
+@pytest.mark.parametrize("command, target, how, code, expected",
                          [row[1:] for row in HOSTILE], ids=[row[0] for row in HOSTILE])
-def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, target, corrupt, code):
+def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, command, target, how,
+                                     code, expected):
     paths = dict(good_inputs)
-    bad = tmp_path / f"bad-{good_inputs[target].name}"
-    if corrupt is None:
-        bad.mkdir()
-    else:
-        bad.write_bytes(corrupt(good_inputs[target].read_bytes()))
-    paths[target] = bad
+    bad = None
+    if target is not None:
+        bad = paths[target] = tmp_path / f"bad-{good_inputs[target].name}"
+        if how == DIRECTORY:
+            bad.mkdir()
+        elif how != ABSENT:
+            bad.write_bytes(how(good_inputs[target].read_bytes()))
+    sub, *flags = command
+    inputs = [paths["checkpoint"], paths["data"]] if sub == "evaluate" else [paths["data"]]
     capsys.readouterr()
-    assert main(["evaluate", str(paths["checkpoint"]), str(paths["data"]),
-                 "--config", str(paths["config"]), "--adjacency", str(paths["adjacency"]),
-                 "--out", str(tmp_path / "out")]) == code
+    assert main([sub, *map(str, inputs), "--config", str(paths["config"]),
+                 "--adjacency", str(paths["adjacency"]), "--out", str(tmp_path / "out"),
+                 *flags]) == code
     err = capsys.readouterr().err
-    assert str(bad) in err
+    for text in expected:
+        assert text.format(bad=bad) in err
     assert "Traceback" not in err

@@ -275,7 +275,7 @@ class TestExport:
         true, pred = random_labels(rng, 120), random_labels(rng, 120)
         report = evaluate(true, pred)
         series = predict_with_confidence(tiny_checkpoint(), labeled_well(30, seed=6))
-        paths = export_plot_data(report, series, tmp_path,
+        paths = export_plot_data(report, [series], tmp_path,
                                  train_counts={f: 10 * f for f in range(1, 10)})
         assert [p.name for p in paths] == ["facies_column.csv", "confusion.csv",
                                            "facies_counts.csv"]

@@ -11,19 +11,14 @@ from faciesnet.errors import ConfigError, NumericError, ShapeError
 # ---------------------------------------------------------------------------
 # independent oracles
 
-def conv1d_loops(x, kernels, bias, padding):
-    """Brute-force triple-loop correlation, independent of ops.conv1d."""
+def conv1d_loops(x, kernels, bias):
+    """Brute-force triple-loop same-padded correlation, independent of ops.conv1d."""
     n_out, n_in, k = kernels.shape
     length = x.shape[1]
-    if padding == "same":
-        offset = (k - 1) // 2
-        out_len = length
-    else:
-        offset = 0
-        out_len = length - k + 1
-    out = np.zeros((n_out, out_len))
+    offset = (k - 1) // 2
+    out = np.zeros((n_out, length))
     for o in range(n_out):
-        for t in range(out_len):
+        for t in range(length):
             acc = 0.0
             for c in range(n_in):
                 for j in range(k):
@@ -74,12 +69,12 @@ def rel_err(a, b):
 class TestConv1d:
     def test_identity_kernel(self):
         x = np.array([[0.5, -1.0, 2.0, 3.5]])
-        out = ops.conv1d(x, np.ones((1, 1, 1)), np.zeros(1), "same")
+        out = ops.conv1d(x, np.ones((1, 1, 1)), np.zeros(1))
         np.testing.assert_array_equal(out, x)
 
     def test_zero_kernel_gives_bias(self):
         x = np.random.default_rng(0).normal(size=(3, 10))
-        out = ops.conv1d(x, np.zeros((2, 3, 3)), np.array([1.5, -2.0]), "same")
+        out = ops.conv1d(x, np.zeros((2, 3, 3)), np.array([1.5, -2.0]))
         np.testing.assert_allclose(out[0], 1.5)
         np.testing.assert_allclose(out[1], -2.0)
 
@@ -87,19 +82,18 @@ class TestConv1d:
         # zero-padded correlation of [1,2,4] with [1,0,-1], worked by hand
         x = np.array([[1.0, 2.0, 4.0]])
         k = np.array([[[1.0, 0.0, -1.0]]])
-        out = ops.conv1d(x, k, np.zeros(1), "same")
+        out = ops.conv1d(x, k, np.zeros(1))
         np.testing.assert_allclose(out, [[-2.0, -3.0, 2.0]])
-        np.testing.assert_allclose(out, conv1d_loops(x, k, np.zeros(1), "same"))
+        np.testing.assert_allclose(out, conv1d_loops(x, k, np.zeros(1)))
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
-    def test_matches_loop_oracle(self, padding, k):
+    def test_matches_loop_oracle(self, k):
         rng = np.random.default_rng(k)
         x = rng.normal(size=(4, 19))
         kernels = rng.normal(size=(5, 4, k))
         bias = rng.normal(size=5)
-        got = ops.conv1d(x, kernels, bias, padding)
-        np.testing.assert_allclose(got, conv1d_loops(x, kernels, bias, padding),
+        got = ops.conv1d(x, kernels, bias)
+        np.testing.assert_allclose(got, conv1d_loops(x, kernels, bias),
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
@@ -107,17 +101,16 @@ class TestConv1d:
     def test_length_contract(self, k, length):
         x = np.zeros((2, length))
         kernels = np.zeros((3, 2, k))
-        assert ops.conv1d(x, kernels, np.zeros(3), "same").shape == (3, length)
-        assert ops.conv1d(x, kernels, np.zeros(3), "valid").shape == (3, length - k + 1)
+        assert ops.conv1d(x, kernels, np.zeros(3)).shape == (3, length)
 
     def test_batch_matches_per_example(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 2, 11))
         kernels = rng.normal(size=(4, 2, 5))
         bias = rng.normal(size=4)
-        batched = ops.conv1d(x, kernels, bias, "same")
+        batched = ops.conv1d(x, kernels, bias)
         for i in range(3):
-            np.testing.assert_allclose(batched[i], ops.conv1d(x[i], kernels, bias, "same"))
+            np.testing.assert_allclose(batched[i], ops.conv1d(x[i], kernels, bias))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -127,25 +120,20 @@ class TestConv1d:
         with pytest.raises(ShapeError):
             ops.conv1d(np.zeros((1, 8)), np.zeros((1, 1, 2)), np.zeros(1))
 
-    def test_valid_padding_kernel_too_long(self):
-        with pytest.raises(ShapeError):
-            ops.conv1d(np.zeros((1, 3)), np.zeros((1, 1, 5)), np.zeros(1), "valid")
-
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    def test_gradients_match_finite_differences(self, padding):
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 3, 9))
         kernels = rng.normal(size=(4, 3, 3))
         bias = rng.normal(size=4)
-        up = rng.normal(size=ops.conv1d(x, kernels, bias, padding).shape)
+        up = rng.normal(size=ops.conv1d(x, kernels, bias).shape)
 
-        d_x, d_k, d_b = ops.conv1d_backward(up, x, kernels, padding)
+        d_x, d_k, d_b = ops.conv1d_backward(up, x, kernels)
         assert rel_err(d_x, numeric_grad(
-            lambda v: float((ops.conv1d(v, kernels, bias, padding) * up).sum()), x.copy())) < 1e-4
+            lambda v: float((ops.conv1d(v, kernels, bias) * up).sum()), x.copy())) < 1e-4
         assert rel_err(d_k, numeric_grad(
-            lambda v: float((ops.conv1d(x, v, bias, padding) * up).sum()), kernels.copy())) < 1e-4
+            lambda v: float((ops.conv1d(x, v, bias) * up).sum()), kernels.copy())) < 1e-4
         assert rel_err(d_b, numeric_grad(
-            lambda v: float((ops.conv1d(x, kernels, v, padding) * up).sum()), bias.copy())) < 1e-4
+            lambda v: float((ops.conv1d(x, kernels, v) * up).sum()), bias.copy())) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +359,5 @@ class TestFiniteDiffHarness:
         def loss(p):
             return float(p["w"] @ x)
 
-        err, _ = ops.finite_diff_check(loss, w, {"w": x.copy()}, h=1e-5)
+        err, _ = ops.finite_diff_check(loss, w, {"w": x.copy()})
         assert err < 1e-8
-
-    def test_zero_step_rejected(self):
-        with pytest.raises(ConfigError):
-            ops.finite_diff_check(lambda p: 0.0, {"w": np.zeros(1)}, {"w": np.zeros(1)}, h=0)

@@ -97,7 +97,6 @@ class TestGenerateWell:
         assert np.array_equal(dists.argmin(axis=1) + 1, well.labels)
 
     def test_custom_name(self):
-        assert generate_well(SynthConfig(n_samples=10), name="A1").name == "A1"
         assert generate_well(SynthConfig(n_samples=10, seed=7)).name == "SYNTH007"
 
 

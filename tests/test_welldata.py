@@ -303,7 +303,7 @@ class TestFaciesTable:
     def test_load_adjacency_codes_and_ids(self, tmp_path):
         p = tmp_path / "adj.txt"
         p.write_text("# marine group\nWS: MS, D, PS\nMS: WS\nD: WS\nPS: WS\n")
-        adj = wd.load_adjacency(p)
+        adj = wd.load_adjacency(p).adjacency
         assert adj[6] == {5, 7, 8}
         assert adj[5] == {6}
 
