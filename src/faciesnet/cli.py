@@ -313,8 +313,9 @@ def cmd_train(args) -> int:
     blind = _blind_names(args, cfg)
     if blind:
         wells, _ = split_by_well(wells, list(blind))
-    if allow_pe:
-        # the mean of the recorded PE values (gaps excluded)
+    if allow_pe and wells:
+        # the mean of the recorded PE values (gaps excluded); with no
+        # wells left, train reports that
         wells = impute_pe(wells, fit_standardizer(wells).mean["PE"])
 
     checkpoint, report = train(train_config, wells, spec=spec)

@@ -37,6 +37,8 @@ class LayerCache:
     pad_left: int = 0
     in_length: int = 0
     padded_length: int = 0
+    kernel: int = 0                         # max-pool window and step
+    stride: int = 0
     mask: Optional[np.ndarray] = None       # dropout keep-mask, pre-scaled
     squeeze: bool = False
 
@@ -115,10 +117,17 @@ def pool1d(x: np.ndarray, kernel: int, stride: int,
            padding: str = "valid") -> tuple[np.ndarray, LayerCache]:
     """Max-pool along the length axis.
 
-    "valid" emits ceil((L - kernel)/stride) + 1 windows; a trailing
-    window shorter than `kernel` still contributes its max. "same"
-    edge-replicates kernel-1 samples so stride 1 preserves the length.
-    The cache records the argmax position of every window.
+    "valid" emits a window at every multiple of `stride` that starts
+    inside the input, up to ceil((L - kernel)/stride) + 1 windows; a
+    trailing window shorter than `kernel` still contributes its max.
+    "same" edge-replicates kernel-1 samples so stride 1 preserves the
+    length. The cache records the argmax position of every window in
+    padded coordinates; on ties the first maximum wins, as in argmax.
+
+    Works by shifted slices: offset j of every window is the strided
+    slice xp[..., j::stride], so the pool is `kernel` elementwise steps
+    over whole arrays, and the slice clipping at the end of the input
+    is what shortens the trailing window.
     """
     xb, squeeze = _batched(x, "pool1d")
     if kernel < 1 or stride < 1:
@@ -138,33 +147,45 @@ def pool1d(x: np.ndarray, kernel: int, stride: int,
         raise ConfigError(f"unknown padding {padding!r}")
 
     lp = xp.shape[2]
-    n_full = (lp - kernel) // stride + 1
-    win = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]  # (B, C, n_full, kernel)
-    vals = win.max(axis=3)
-    pos = np.arange(n_full) * stride + win.argmax(axis=3)
-    if (lp - kernel) % stride:
-        start = n_full * stride
-        tail = xp[:, :, start:]
-        vals = np.concatenate([vals, tail.max(axis=2)[..., None]], axis=2)
-        pos = np.concatenate([pos, (start + tail.argmax(axis=2))[..., None]], axis=2)
+    n_out = -(-min(lp, lp - kernel + stride) // stride)
+    span = (n_out - 1) * stride + 1
+    vals = xp[:, :, 0:span:stride].copy()
+    offset = np.zeros(vals.shape, dtype=np.min_scalar_type(kernel - 1))
+    for j in range(1, kernel):
+        shifted = xp[:, :, j:j + span:stride]
+        n = shifted.shape[2]
+        head = vals[:, :, :n]
+        better = shifted > head  # strict: an equal later sample never wins
+        np.maximum(head, shifted, out=head)
+        offset[:, :, :n] = np.where(better, j, offset[:, :, :n])
+    pos = offset + np.arange(n_out) * stride
 
-    cache = LayerCache(positions=pos, pad_left=pad_left,
-                       in_length=length, padded_length=lp, squeeze=squeeze)
+    cache = LayerCache(positions=pos, pad_left=pad_left, in_length=length,
+                       padded_length=lp, kernel=kernel, stride=stride,
+                       squeeze=squeeze)
     return (vals[0] if squeeze else vals), cache
 
 
 def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
-    """Route each window's upstream gradient to its argmax sample."""
+    """Route each window's upstream gradient to its argmax sample.
+
+    Scans the offsets from last to first, so every sample sums the
+    windows that chose it in ascending window order and float32 sums
+    round the same way as a scatter-add in window order.
+    """
     gb, _ = _batched(grad, "pool1d_backward")
     pos = cache.positions
     if gb.shape != pos.shape:
         raise ShapeError(f"upstream grad shape {gb.shape} != pooled shape {pos.shape}")
-    b, c, _ = gb.shape
-    lp = cache.padded_length
-    d_xp = np.zeros((b * c, lp), dtype=gb.dtype)
-    rows = np.repeat(np.arange(b * c), pos.shape[2])
-    np.add.at(d_xp, (rows, pos.reshape(-1)), gb.reshape(-1))
-    d_xp = d_xp.reshape(b, c, lp)
+    b, c, n_out = gb.shape
+    lp, stride = cache.padded_length, cache.stride
+    span = (n_out - 1) * stride + 1
+    offset = pos - np.arange(n_out) * stride
+    d_xp = np.zeros((b, c, lp), dtype=gb.dtype)
+    for j in range(cache.kernel - 1, -1, -1):
+        target = d_xp[:, :, j:j + span:stride]
+        n = target.shape[2]
+        target += np.where(offset[:, :, :n] == j, gb[:, :, :n], 0)
 
     pad, length = cache.pad_left, cache.in_length
     if lp == length:

@@ -148,8 +148,9 @@ def _validate(spec, params, windows, labels):
     for start in range(0, len(windows), INFERENCE_BATCH):
         x = windows[start:start + INFERENCE_BATCH]
         y = labels[start:start + INFERENCE_BATCH]
-        logits, _ = model_forward(spec, params, x)
-        loss, _ = ops.softmax_xent(logits, y - 1)
+        with np.errstate(over="raise", invalid="raise"):
+            logits, _ = model_forward(spec, params, x)
+            loss, _ = ops.softmax_xent(logits, y - 1)
         total_loss += loss * len(x)
         preds.append(logits.argmax(axis=1) + 1)
     preds = np.concatenate(preds)
@@ -170,7 +171,10 @@ def train_on_windows(config: TrainConfig, windows, labels,
     are running accuracies from the training-mode (dropout-active)
     forward passes. A NumericError (non-finite logits: the run
     diverged) is re-raised naming the epoch, and the batch of a training
-    step.
+    step. A forward pass that overflows float range, or makes a NaN
+    from an infinity, is that error at once: numpy's floating-point
+    warnings are raised there rather than printed, and the backward
+    pass never sees the infinities.
     """
     windows = np.asarray(windows)
     labels = np.asarray(labels)
@@ -196,9 +200,10 @@ def train_on_windows(config: TrainConfig, windows, labels,
             idx = perm[start:start + config.batch_size]
             x, y = windows[idx], labels[idx]
             try:
-                logits, caches = model_forward(spec, params, x, training=True, rng=rng)
-                loss, d_logits = ops.softmax_xent(logits, y - 1, class_weights)
-            except NumericError as exc:
+                with np.errstate(over="raise", invalid="raise"):
+                    logits, caches = model_forward(spec, params, x, training=True, rng=rng)
+                    loss, d_logits = ops.softmax_xent(logits, y - 1, class_weights)
+            except (NumericError, FloatingPointError) as exc:
                 raise NumericError(f"epoch {epoch}, batch {batch}: {exc}") from exc
             grads = model_backward(spec, params, caches, d_logits)
             sgd_step(params, grads, velocity, lr, config.momentum)
@@ -211,7 +216,7 @@ def train_on_windows(config: TrainConfig, windows, labels,
             try:
                 row.val_loss, row.val_macro_f1 = _validate(spec, params,
                                                            val_windows, val_labels)
-            except NumericError as exc:
+            except (NumericError, FloatingPointError) as exc:
                 raise NumericError(f"epoch {epoch}, validation: {exc}") from exc
             if row.val_macro_f1 > best_f1:
                 best_f1 = row.val_macro_f1

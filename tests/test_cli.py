@@ -3,6 +3,7 @@ production, idempotence, exit codes, config handling, fault injection."""
 
 import csv
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -423,7 +424,8 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
      ("{bad}", "rows 2 and 3")),
     ("train-diverges", TRAIN, "config", lambda raw: raw + b"learning_rate = 1e6\n", 3,
      ("numeric failure", "epoch 1, batch ")),
-    ("all-blind-missing-pe", ALL_BLIND, None, None, 2, ("configuration error",)),
+    ("all-blind-missing-pe", ALL_BLIND, None, None, 2,
+     ("configuration error: no training wells",)),
 ]
 
 
@@ -458,10 +460,14 @@ def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, command, tar
     sub, *flags = command
     inputs = [paths["checkpoint"], paths["data"]] if sub == "evaluate" else [paths["data"]]
     capsys.readouterr()
-    assert main([sub, *map(str, inputs), "--config", str(paths["config"]),
-                 "--adjacency", str(paths["adjacency"]), "--out", str(tmp_path / "out"),
-                 *flags]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([sub, *map(str, inputs), "--config", str(paths["config"]),
+                     "--adjacency", str(paths["adjacency"]), "--out", str(tmp_path / "out"),
+                     *flags]) == code
     err = capsys.readouterr().err
     for text in expected:
         assert text.format(bad=bad) in err
     assert "Traceback" not in err
+    # the error message is the one report: no numpy warning on the side
+    assert [str(w.message) for w in caught] == []

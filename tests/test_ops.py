@@ -30,18 +30,48 @@ def conv1d_loops(x, kernels, bias):
 
 
 def pool1d_loops(x, kernel, stride, padding):
-    """Window-by-window max with edge replication, independent of ops.pool1d."""
+    """Window-by-window max with edge replication, independent of ops.pool1d.
+
+    Returns (values, positions): each window's max and the padded
+    coordinate of its first maximal sample.
+    """
     if padding == "same":
         pad_left = (kernel - 1) // 2
         pad_right = kernel - 1 - pad_left
         x = np.concatenate(
-            [np.repeat(x[:, :1], pad_left, axis=1), x,
-             np.repeat(x[:, -1:], pad_right, axis=1)], axis=1)
-    length = x.shape[1]
+            [np.repeat(x[..., :1], pad_left, axis=-1), x,
+             np.repeat(x[..., -1:], pad_right, axis=-1)], axis=-1)
+    length = x.shape[-1]
     starts = list(range(0, length - kernel + 1, stride))
-    if starts[-1] + kernel < length:
+    # a trailing partial window, if samples remain and it starts inside
+    if starts[-1] + kernel < length and starts[-1] + stride < length:
         starts.append(starts[-1] + stride)
-    return np.stack([x[:, s:s + kernel].max(axis=1) for s in starts], axis=1)
+    rows = x.reshape(-1, length)
+    vals = np.empty((len(rows), len(starts)), dtype=x.dtype)
+    pos = np.empty((len(rows), len(starts)), dtype=np.intp)
+    for r, row in enumerate(rows):
+        for w, s in enumerate(starts):
+            window = list(row[s:s + kernel])
+            vals[r, w] = max(window)
+            pos[r, w] = s + window.index(max(window))
+    shape = x.shape[:-1] + (len(starts),)
+    return vals.reshape(shape), pos.reshape(shape)
+
+
+def pool1d_backward_scatter(grad, cache):
+    """Scatter-add each window's gradient onto its argmax sample, in
+    window order, then fold edge-replicated pad columns onto the edges."""
+    b, c, n = grad.shape
+    lp, pad, length = cache.padded_length, cache.pad_left, cache.in_length
+    d_xp = np.zeros((b * c, lp), dtype=grad.dtype)
+    rows = np.repeat(np.arange(b * c), n)
+    np.add.at(d_xp, (rows, cache.positions.reshape(-1)), grad.reshape(-1))
+    d_xp = d_xp.reshape(b, c, lp)
+    d_x = d_xp[:, :, pad:pad + length].copy()
+    if lp != length:
+        d_x[:, :, 0] += d_xp[:, :, :pad].sum(axis=2)
+        d_x[:, :, -1] += d_xp[:, :, pad + length:].sum(axis=2)
+    return d_x
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -164,7 +194,7 @@ class TestPool1d:
         rng = np.random.default_rng(kernel * 10 + stride)
         x = rng.normal(size=(3, 13))
         got, _ = ops.pool1d(x, kernel, stride, padding)
-        np.testing.assert_array_equal(got, pool1d_loops(x, kernel, stride, padding))
+        np.testing.assert_array_equal(got, pool1d_loops(x, kernel, stride, padding)[0])
 
     def test_partial_tail_window(self):
         # ceil mode: length 7, kernel 2, stride 2 -> 4 windows, last is [g]
@@ -174,6 +204,49 @@ class TestPool1d:
     def test_short_input_rejected(self):
         with pytest.raises(ShapeError):
             ops.pool1d(np.zeros((1, 2)), kernel=3, stride=1)
+
+    def test_window_never_starts_past_the_end(self):
+        # length 12, kernel 2, stride 3: windows at 0, 3, 6, 9; sample
+        # 11 lies in the gap after [9, 10], not in a window at 12
+        out, cache = ops.pool1d(np.arange(12.0)[None], kernel=2, stride=3)
+        np.testing.assert_array_equal(out, [[1, 4, 7, 10]])
+        np.testing.assert_array_equal(cache.positions[0], [[1, 4, 7, 10]])
+
+    @staticmethod
+    def _tied_input(length):
+        """Post-ReLU float32 logs: runs of exact zeros and constant runs."""
+        rng = np.random.default_rng(length)
+        x = np.maximum(rng.normal(size=(2, 3, length)), 0).astype(np.float32)
+        x[0, 0, 2:7] = 0.5
+        x[1, 2, :] = 0.0
+        x[1, 1, -4:] = 1.25
+        return x
+
+    @pytest.mark.parametrize("length", [12, 13])
+    @pytest.mark.parametrize("kernel,stride,padding",
+                             [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid"), (2, 3, "valid")])
+    def test_ties_pick_first_maximum(self, kernel, stride, padding, length):
+        x = self._tied_input(length)
+        vals, cache = ops.pool1d(x, kernel, stride, padding)
+        want_vals, want_pos = pool1d_loops(x, kernel, stride, padding)
+        np.testing.assert_array_equal(vals, want_vals)
+        np.testing.assert_array_equal(cache.positions, want_pos)
+
+    @pytest.mark.parametrize("length", [12, 13])
+    @pytest.mark.parametrize("kernel,stride,padding",
+                             [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid"), (2, 3, "valid")])
+    def test_backward_bitwise_equals_scatter_add(self, kernel, stride, padding, length):
+        # gradients over eight decades, so a different summation order
+        # on a sample that several windows chose rounds differently
+        x = self._tied_input(length)
+        _, cache = ops.pool1d(x, kernel, stride, padding)
+        rng = np.random.default_rng(length + kernel)
+        up = (rng.normal(size=cache.positions.shape)
+              * 10.0 ** rng.uniform(-4, 4, size=cache.positions.shape)).astype(np.float32)
+        got = ops.pool1d_backward(up, cache)
+        want = pool1d_backward_scatter(up, cache)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
 
     @pytest.mark.parametrize("kernel,stride,padding", [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid")])
     def test_gradients_match_finite_differences(self, kernel, stride, padding):
