@@ -370,7 +370,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(true, pred, table)
 
     out = _out_dir(args)
-    export_plot_data(report, series, out, train_counts=None)
+    export_plot_data(report, series, out)
     write_metrics_json(report, out / "metrics.json")
     print(f"evaluated {report.n_samples} samples over {len(wells)} wells")
     print(f"  macro-F1          {report.prf.macro_f1:.4f}")

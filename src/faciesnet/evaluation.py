@@ -213,9 +213,9 @@ def confidence_band(confidence: float) -> str:
     return "low"
 
 
-def predict_with_confidence(model: Checkpoint, well: Well,
-                            batch_size: int = INFERENCE_BATCH) -> PredictionSeries:
-    """One prediction per depth sample via centered windows.
+def predict_with_confidence(model: Checkpoint, well: Well) -> PredictionSeries:
+    """One prediction per depth sample via centered windows, run through
+    the model in chunks of INFERENCE_BATCH windows.
 
     Confidence is the winning softmax probability, annotated with the
     high (>= 0.7) / medium / low (< 0.5) band.
@@ -223,8 +223,8 @@ def predict_with_confidence(model: Checkpoint, well: Well,
     scaled = apply_standardizer(model.standardizer, well)
     windows = window_matrix(scaled, model.spec.window)
     probs = np.empty((len(windows), model.spec.n_classes))
-    for start in range(0, len(windows), batch_size):
-        chunk = windows[start:start + batch_size]
+    for start in range(0, len(windows), INFERENCE_BATCH):
+        chunk = windows[start:start + INFERENCE_BATCH]
         logits, _ = model_forward(model.spec, model.params, chunk)
         probs[start:start + len(chunk)] = ops.softmax(logits.astype(np.float64))
     facies = probs.argmax(axis=1).astype(np.int64) + 1
@@ -238,13 +238,13 @@ def predict_with_confidence(model: Checkpoint, well: Well,
 # ---------------------------------------------------------------------------
 # export
 
-def export_plot_data(report: EvalReport, series: list, out_dir,
-                     train_counts: Optional[dict] = None) -> list:
+def export_plot_data(report: EvalReport, series: list, out_dir) -> list:
     """Write plot-ready CSVs; returns the paths written.
 
     facies_column.csv carries the per-depth series, confusion.csv the
     9x9 counts with per-class rates appended, facies_counts.csv the
-    class totals in training versus evaluated data.
+    class totals in the evaluated data. Its train_count column reads 0:
+    a checkpoint records no training counts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -280,8 +280,7 @@ def export_plot_data(report: EvalReport, series: list, out_dir,
         writer = csv.writer(fh)
         writer.writerow(["facies", "code", "train_count", "eval_count"])
         for f in range(1, N_FACIES + 1):
-            train = 0 if train_counts is None else int(train_counts.get(f, 0))
-            writer.writerow([f, FACIES_CODES[f - 1], train,
+            writer.writerow([f, FACIES_CODES[f - 1], 0,
                              report.facies_counts[f]])
     paths.append(counts_path)
     return paths

@@ -80,6 +80,12 @@ class ModelSpec:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.n_classes < 2:
             raise ConfigError(f"need >= 2 output classes, got {self.n_classes}")
+        shortest = self.stage_lengths()[-2]
+        if shortest < POOL_KERNEL:
+            raise ConfigError(
+                f"window = {self.window} is too short for stages = "
+                f"{len(self.stages)}: it leaves the last stage {shortest} "
+                f"sample(s), fewer than the pool kernel {POOL_KERNEL}")
 
     def stage_lengths(self) -> list:
         """Series length entering each stage, plus the final pooled length."""
@@ -237,8 +243,8 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
     for j in range(len(spec.fc_sizes)):
         pre = ops.dense(x, params[f"fc{j}.weights"], params[f"fc{j}.bias"])
         act = ops.relu(pre)
-        dropped, drop_cache = ops.dropout(act, spec.dropout, rng, training)
-        caches["head"].append((x, pre, drop_cache))
+        dropped, mask = ops.dropout(act, spec.dropout, rng, training)
+        caches["head"].append((x, pre, mask))
         x = dropped
     caches["out_in"] = x
     logits = ops.dense(x, params["out.weights"], params["out.bias"])
@@ -253,8 +259,8 @@ def model_backward(spec: ModelSpec, params: dict, caches: dict,
         logit_grads, caches["out_in"], params["out.weights"])
 
     for j in reversed(range(len(spec.fc_sizes))):
-        x_in, pre, drop_cache = caches["head"][j]
-        g = ops.dropout_backward(g, drop_cache)
+        x_in, pre, mask = caches["head"][j]
+        g = ops.dropout_backward(g, mask)
         g = ops.relu_backward(g, pre)
         g, grads[f"fc{j}.weights"], grads[f"fc{j}.bias"] = ops.dense_backward(
             g, x_in, params[f"fc{j}.weights"])

@@ -2,10 +2,11 @@
 and a finite-difference harness to verify them.
 
 Arrays are plain numpy ndarrays, row-major, float32 in production and
-float64 for gradient checks. Log windows are laid out channels-first:
-(channels, length), or (batch, channels, length) for batched calls.
-Every op accepts either rank and preserves it. Convolutions are
-same-padded, so they keep the length.
+float64 for gradient checks. Log windows travel in batches laid out
+channels-first, (batch, channels, length); the convolution and pooling
+ops accept no other rank, and the dense head and the loss take
+(batch, features). Convolutions are same-padded, so they keep the
+length.
 
 All functions are pure: state a backward pass needs is returned
 explicitly as a cache, never stored on a module or instance.
@@ -19,19 +20,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError, ShapeError
 
-def _batched(x: np.ndarray, op: str) -> tuple[np.ndarray, bool]:
-    """Promote (C, L) to (1, C, L); remember whether to squeeze on return."""
+def _require_batch(x: np.ndarray, op: str) -> np.ndarray:
+    """Return x as an array, or raise unless it is a (B, C, L) batch."""
     x = np.asarray(x)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"{op} expects a (C, L) or (B, C, L) array, got rank {x.ndim}")
+    if x.ndim != 3:
+        raise ShapeError(f"{op} expects a (B, C, L) batch, got rank {x.ndim}")
+    return x
 
 
 @dataclass
 class LayerCache:
-    """Saved forward-pass state a layer needs for its backward pass."""
+    """Saved forward-pass state max-pooling needs for its backward pass."""
 
     positions: Optional[np.ndarray] = None  # max-pool argmax, padded coords
     pad_left: int = 0
@@ -39,8 +38,6 @@ class LayerCache:
     padded_length: int = 0
     kernel: int = 0                         # max-pool window and step
     stride: int = 0
-    mask: Optional[np.ndarray] = None       # dropout keep-mask, pre-scaled
-    squeeze: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +46,12 @@ class LayerCache:
 def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Cross-correlate along the length axis, same-padded.
 
-    out[o, t] = sum_c sum_k x[c, t + k - (K-1)/2] * kernels[o, c, k] + bias[o]
+    out[b, o, t] = sum_c sum_k x[b, c, t + k - (K-1)/2] * kernels[o, c, k] + bias[o]
 
     Zero-pads (K-1)/2 samples each side, so the length is preserved.
     K must be odd.
     """
-    xb, squeeze = _batched(x, "conv1d")
+    x = _require_batch(x, "conv1d")
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
     if kernels.ndim != 3:
@@ -62,15 +59,14 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     n_out, n_in, k = kernels.shape
     if k % 2 == 0:
         raise ShapeError(f"kernel length must be odd, got {k}")
-    if xb.shape[1] != n_in:
-        raise ShapeError(f"input has {xb.shape[1]} channels, kernels expect {n_in}")
+    if x.shape[1] != n_in:
+        raise ShapeError(f"input has {x.shape[1]} channels, kernels expect {n_in}")
     if bias.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {bias.shape}")
 
     pad = (k - 1) // 2
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
-    out = _correlate(xp, kernels) + bias[:, None]
-    return out[0] if squeeze else out
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
+    return _correlate(xp, kernels) + bias[:, None]
 
 
 def _correlate(xp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -87,17 +83,17 @@ def _correlate(xp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 def conv1d_backward(grad: np.ndarray, x: np.ndarray,
                     kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the same-padded conv1d: returns (d_input, d_kernels, d_bias)."""
-    xb, squeeze = _batched(x, "conv1d_backward")
-    gb, _ = _batched(grad, "conv1d_backward")
+    x = _require_batch(x, "conv1d_backward")
+    grad = np.asarray(grad)
     n_out, n_in, k = kernels.shape
     pad = (k - 1) // 2
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
     b, _, lp = xp.shape
     lo = lp - k + 1
-    if gb.shape != (b, n_out, lo):
-        raise ShapeError(f"upstream grad shape {gb.shape} != forward output {(b, n_out, lo)}")
+    if grad.shape != (b, n_out, lo):
+        raise ShapeError(f"upstream grad shape {grad.shape} != forward output {(b, n_out, lo)}")
 
-    g2 = gb.transpose(0, 2, 1).reshape(b * lo, n_out)
+    g2 = grad.transpose(0, 2, 1).reshape(b * lo, n_out)
     d_bias = g2.sum(axis=0)
     col = sliding_window_view(xp, k, axis=2).transpose(0, 2, 1, 3).reshape(b * lo, n_in * k)
     d_kernels = (g2.T @ col).reshape(n_out, n_in, k)
@@ -106,8 +102,8 @@ def conv1d_backward(grad: np.ndarray, x: np.ndarray,
     d_xp = np.zeros_like(xp)
     for j in range(k):
         d_xp[:, :, j:j + lo] += d_col[:, :, :, j].transpose(0, 2, 1)
-    d_x = d_xp[:, :, pad:pad + xb.shape[2]] if pad else d_xp
-    return (d_x[0] if squeeze else d_x), d_kernels, d_bias
+    d_x = d_xp[:, :, pad:pad + x.shape[2]] if pad else d_xp
+    return d_x, d_kernels, d_bias
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +125,20 @@ def pool1d(x: np.ndarray, kernel: int, stride: int,
     over whole arrays, and the slice clipping at the end of the input
     is what shortens the trailing window.
     """
-    xb, squeeze = _batched(x, "pool1d")
+    x = _require_batch(x, "pool1d")
     if kernel < 1 or stride < 1:
         raise ShapeError(f"kernel and stride must be >= 1, got {kernel}, {stride}")
 
-    length = xb.shape[2]
+    length = x.shape[2]
     if padding == "same":
         pad_left = (kernel - 1) // 2
         pad_right = kernel - 1 - pad_left
-        xp = np.pad(xb, ((0, 0), (0, 0), (pad_left, pad_right)), mode="edge")
+        xp = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)), mode="edge")
     elif padding == "valid":
         if length < kernel:
             raise ShapeError(f"input length {length} shorter than pool kernel {kernel}")
         pad_left = 0
-        xp = xb
+        xp = x
     else:
         raise ConfigError(f"unknown padding {padding!r}")
 
@@ -161,9 +157,8 @@ def pool1d(x: np.ndarray, kernel: int, stride: int,
     pos = offset + np.arange(n_out) * stride
 
     cache = LayerCache(positions=pos, pad_left=pad_left, in_length=length,
-                       padded_length=lp, kernel=kernel, stride=stride,
-                       squeeze=squeeze)
-    return (vals[0] if squeeze else vals), cache
+                       padded_length=lp, kernel=kernel, stride=stride)
+    return vals, cache
 
 
 def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
@@ -173,36 +168,36 @@ def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
     windows that chose it in ascending window order and float32 sums
     round the same way as a scatter-add in window order.
     """
-    gb, _ = _batched(grad, "pool1d_backward")
+    grad = np.asarray(grad)
     pos = cache.positions
-    if gb.shape != pos.shape:
-        raise ShapeError(f"upstream grad shape {gb.shape} != pooled shape {pos.shape}")
-    b, c, n_out = gb.shape
+    if grad.shape != pos.shape:
+        raise ShapeError(f"upstream grad shape {grad.shape} != pooled shape {pos.shape}")
+    b, c, n_out = grad.shape
     lp, stride = cache.padded_length, cache.stride
     span = (n_out - 1) * stride + 1
     offset = pos - np.arange(n_out) * stride
-    d_xp = np.zeros((b, c, lp), dtype=gb.dtype)
+    d_xp = np.zeros((b, c, lp), dtype=grad.dtype)
     for j in range(cache.kernel - 1, -1, -1):
         target = d_xp[:, :, j:j + span:stride]
         n = target.shape[2]
-        target += np.where(offset[:, :, :n] == j, gb[:, :, :n], 0)
+        target += np.where(offset[:, :, :n] == j, grad[:, :, :n], 0)
 
     pad, length = cache.pad_left, cache.in_length
     if lp == length:
-        d_x = d_xp
-    else:
-        # fold edge-replicated pad columns back onto the boundary samples
-        d_x = d_xp[:, :, pad:pad + length].copy()
-        d_x[:, :, 0] += d_xp[:, :, :pad].sum(axis=2)
-        d_x[:, :, -1] += d_xp[:, :, pad + length:].sum(axis=2)
-    return d_x[0] if cache.squeeze else d_x
+        return d_xp
+    # fold edge-replicated pad columns back onto the boundary samples; the
+    # sums read only pad columns, which lie outside the interior view
+    d_x = d_xp[:, :, pad:pad + length]
+    d_x[:, :, 0] += d_xp[:, :, :pad].sum(axis=2)
+    d_x[:, :, -1] += d_xp[:, :, pad + length:].sum(axis=2)
+    return d_x
 
 
 # ---------------------------------------------------------------------------
 # dense, relu, softmax, concat, dropout
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map: weights (M, N) applied to (N,) or (B, N) input."""
+    """Affine map: weights (M, N) applied to a (B, N) input."""
     x = np.asarray(x)
     m, n = weights.shape
     if x.shape[-1] != n:
@@ -260,29 +255,31 @@ def split_channels(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator,
-            training: bool) -> tuple[np.ndarray, LayerCache]:
+            training: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
 
-    Identity outside training mode. The pre-scaled keep-mask is cached
-    so the backward pass replays the exact same thinning.
+    Returns (out, mask). The mask is the pre-scaled keep-mask, which the
+    backward pass replays for the exact same thinning; it is None where
+    dropout is the identity (outside training mode, or at rate 0).
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     x = np.asarray(x)
     if not training or rate == 0.0:
-        return x, LayerCache()
+        return x, None
     keep = rng.random(x.shape) >= rate
     mask = keep.astype(x.dtype) / (1.0 - rate)
-    return x * mask, LayerCache(mask=mask)
+    return x * mask, mask
 
 
-def dropout_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
-    """Apply the cached mask and scale to the upstream gradient."""
-    if cache.mask is None:
-        return np.asarray(grad)
-    if cache.mask.shape != np.asarray(grad).shape:
-        raise ShapeError(f"grad shape {np.asarray(grad).shape} != mask {cache.mask.shape}")
-    return grad * cache.mask
+def dropout_backward(grad: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+    """Apply dropout's returned mask to the upstream gradient (None passes it)."""
+    grad = np.asarray(grad)
+    if mask is None:
+        return grad
+    if mask.shape != grad.shape:
+        raise ShapeError(f"grad shape {grad.shape} != mask {mask.shape}")
+    return grad * mask
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +290,14 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray,
                  ) -> tuple[float, np.ndarray]:
     """Mean weighted cross-entropy over a batch, with its fused gradient.
 
-    labels are 0-based class indices. Returns (loss, d_logits);
-    d_logits is w_y * (softmax - onehot) / B, computed via a stable
-    log-sum-exp so the loss never sees log(0).
+    logits are (B, F) and labels (B,) 0-based class indices. Returns
+    (loss, d_logits); d_logits is w_y * (softmax - onehot) / B, computed
+    via a stable log-sum-exp so the loss never sees log(0).
     """
-    z = np.atleast_2d(np.asarray(logits))
-    labels = np.atleast_1d(np.asarray(labels))
+    z = np.asarray(logits)
+    labels = np.asarray(labels)
+    if z.ndim != 2:
+        raise ShapeError(f"softmax_xent expects (B, F) logits, got rank {z.ndim}")
     b, f = z.shape
     if b == 0:
         raise ShapeError("empty label batch")

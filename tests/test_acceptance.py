@@ -79,7 +79,7 @@ def test_criterion_2_shapes_and_normalization(announce):
 
     pool_ok = True
     for length in range(2, 65, 2):
-        out, _ = ops.pool1d(rng.standard_normal((2, length)), 2, 2)
+        out, _ = ops.pool1d(rng.standard_normal((1, 2, length)), 2, 2)
         pool_ok = pool_ok and out.shape[-1] == length // 2
 
     elapsed = time.perf_counter() - t0

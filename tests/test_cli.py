@@ -426,6 +426,9 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
      ("numeric failure", "epoch 1, batch ")),
     ("all-blind-missing-pe", ALL_BLIND, None, None, 2,
      ("configuration error: no training wells",)),
+    ("train-window-too-short", TRAIN, "config",
+     lambda raw: raw.replace(b"window = 9", b"window = 1"), 2,
+     ("configuration error", "window")),
 ]
 
 

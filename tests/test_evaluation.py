@@ -11,6 +11,7 @@ import csv
 import numpy as np
 import pytest
 
+from faciesnet import evaluation
 from faciesnet.errors import DataFormatError, ShapeError
 from faciesnet.evaluation import (ConfusionMatrix, EvalReport, PredictionSeries,
                                   accuracy, adjacent_accuracy, confidence_band,
@@ -237,13 +238,14 @@ class TestPredictWithConfidence:
         assert np.array_equal(a.facies, b.facies)
         assert np.array_equal(a.probs, b.probs)
 
-    def test_batching_agrees_to_float_precision(self):
+    def test_batching_agrees_to_float_precision(self, monkeypatch):
         # matmul blocking differs by batch shape, so only near-exact
         # agreement is promised across chunk sizes
         model = tiny_checkpoint()
         well = labeled_well(33, seed=3)
-        a = predict_with_confidence(model, well, batch_size=4)
-        b = predict_with_confidence(model, well, batch_size=1024)
+        b = predict_with_confidence(model, well)
+        monkeypatch.setattr(evaluation, "INFERENCE_BATCH", 4)
+        a = predict_with_confidence(model, well)
         assert np.array_equal(a.facies, b.facies)
         np.testing.assert_allclose(a.probs, b.probs, rtol=1e-4, atol=1e-7)
 
@@ -275,8 +277,7 @@ class TestExport:
         true, pred = random_labels(rng, 120), random_labels(rng, 120)
         report = evaluate(true, pred)
         series = predict_with_confidence(tiny_checkpoint(), labeled_well(30, seed=6))
-        paths = export_plot_data(report, [series], tmp_path,
-                                 train_counts={f: 10 * f for f in range(1, 10)})
+        paths = export_plot_data(report, [series], tmp_path)
         assert [p.name for p in paths] == ["facies_column.csv", "confusion.csv",
                                            "facies_counts.csv"]
 
@@ -297,7 +298,8 @@ class TestExport:
             rows = list(csv.reader(fh))
         assert [int(r[3]) for r in rows[1:]] == [report.facies_counts[f]
                                                  for f in range(1, 10)]
-        assert [int(r[2]) for r in rows[1:]] == [10 * f for f in range(1, 10)]
+        # a checkpoint records no training counts
+        assert [int(r[2]) for r in rows[1:]] == [0] * 9
 
     def test_metrics_json_mirrors_report(self, tmp_path):
         import json

@@ -38,7 +38,7 @@ class TestSpecs:
 
     @pytest.mark.parametrize("length", range(2, 65))
     def test_pooled_length_matches_pool_op(self, length):
-        out, _ = ops.pool1d(np.zeros((1, length)), 2, 2)
+        out, _ = ops.pool1d(np.zeros((1, 1, length)), 2, 2)
         assert pooled_length(length) == out.shape[-1]
 
     def test_even_inception_kernel_rejected(self):
@@ -56,6 +56,11 @@ class TestSpecs:
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError):
             ModelSpec(window=30)
+
+    def test_window_too_short_for_stages_rejected(self):
+        # window 1 gives each stage 1 sample, short of its pool kernel of 2
+        with pytest.raises(ConfigError, match="window"):
+            ModelSpec(window=1)
 
     def test_dropout_range_enforced(self):
         with pytest.raises(ConfigError):

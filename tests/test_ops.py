@@ -12,20 +12,22 @@ from faciesnet.errors import ConfigError, NumericError, ShapeError
 # independent oracles
 
 def conv1d_loops(x, kernels, bias):
-    """Brute-force triple-loop same-padded correlation, independent of ops.conv1d."""
+    """Brute-force loop same-padded correlation of a (B, C, L) batch,
+    independent of ops.conv1d."""
     n_out, n_in, k = kernels.shape
-    length = x.shape[1]
+    batch, _, length = x.shape
     offset = (k - 1) // 2
-    out = np.zeros((n_out, length))
-    for o in range(n_out):
-        for t in range(length):
-            acc = 0.0
-            for c in range(n_in):
-                for j in range(k):
-                    src = t + j - offset
-                    if 0 <= src < length:
-                        acc += x[c, src] * kernels[o, c, j]
-            out[o, t] = acc + bias[o]
+    out = np.zeros((batch, n_out, length))
+    for b in range(batch):
+        for o in range(n_out):
+            for t in range(length):
+                acc = 0.0
+                for c in range(n_in):
+                    for j in range(k):
+                        src = t + j - offset
+                        if 0 <= src < length:
+                            acc += x[b, c, src] * kernels[o, c, j]
+                out[b, o, t] = acc + bias[o]
     return out
 
 
@@ -98,28 +100,28 @@ def rel_err(a, b):
 
 class TestConv1d:
     def test_identity_kernel(self):
-        x = np.array([[0.5, -1.0, 2.0, 3.5]])
+        x = np.array([[[0.5, -1.0, 2.0, 3.5]]])
         out = ops.conv1d(x, np.ones((1, 1, 1)), np.zeros(1))
         np.testing.assert_array_equal(out, x)
 
     def test_zero_kernel_gives_bias(self):
-        x = np.random.default_rng(0).normal(size=(3, 10))
+        x = np.random.default_rng(0).normal(size=(1, 3, 10))
         out = ops.conv1d(x, np.zeros((2, 3, 3)), np.array([1.5, -2.0]))
-        np.testing.assert_allclose(out[0], 1.5)
-        np.testing.assert_allclose(out[1], -2.0)
+        np.testing.assert_allclose(out[0, 0], 1.5)
+        np.testing.assert_allclose(out[0, 1], -2.0)
 
     def test_hand_rolled_edge_detector(self):
         # zero-padded correlation of [1,2,4] with [1,0,-1], worked by hand
-        x = np.array([[1.0, 2.0, 4.0]])
+        x = np.array([[[1.0, 2.0, 4.0]]])
         k = np.array([[[1.0, 0.0, -1.0]]])
         out = ops.conv1d(x, k, np.zeros(1))
-        np.testing.assert_allclose(out, [[-2.0, -3.0, 2.0]])
+        np.testing.assert_allclose(out, [[[-2.0, -3.0, 2.0]]])
         np.testing.assert_allclose(out, conv1d_loops(x, k, np.zeros(1)))
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_matches_loop_oracle(self, k):
         rng = np.random.default_rng(k)
-        x = rng.normal(size=(4, 19))
+        x = rng.normal(size=(1, 4, 19))
         kernels = rng.normal(size=(5, 4, k))
         bias = rng.normal(size=5)
         got = ops.conv1d(x, kernels, bias)
@@ -129,9 +131,9 @@ class TestConv1d:
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     @pytest.mark.parametrize("length", range(8, 65))
     def test_length_contract(self, k, length):
-        x = np.zeros((2, length))
+        x = np.zeros((1, 2, length))
         kernels = np.zeros((3, 2, k))
-        assert ops.conv1d(x, kernels, np.zeros(3)).shape == (3, length)
+        assert ops.conv1d(x, kernels, np.zeros(3)).shape == (1, 3, length)
 
     def test_batch_matches_per_example(self):
         rng = np.random.default_rng(7)
@@ -140,15 +142,15 @@ class TestConv1d:
         bias = rng.normal(size=4)
         batched = ops.conv1d(x, kernels, bias)
         for i in range(3):
-            np.testing.assert_allclose(batched[i], ops.conv1d(x[i], kernels, bias))
+            np.testing.assert_allclose(batched[i], ops.conv1d(x[i:i + 1], kernels, bias)[0])
 
     def test_channel_mismatch(self):
-        with pytest.raises(ShapeError):
-            ops.conv1d(np.zeros((3, 8)), np.zeros((2, 4, 3)), np.zeros(2))
+        with pytest.raises(ShapeError, match="channels"):
+            ops.conv1d(np.zeros((1, 3, 8)), np.zeros((2, 4, 3)), np.zeros(2))
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ShapeError):
-            ops.conv1d(np.zeros((1, 8)), np.zeros((1, 1, 2)), np.zeros(1))
+        with pytest.raises(ShapeError, match="odd"):
+            ops.conv1d(np.zeros((1, 1, 8)), np.zeros((1, 1, 2)), np.zeros(1))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -171,45 +173,45 @@ class TestConv1d:
 
 class TestPool1d:
     def test_pairwise_max(self):
-        out, _ = ops.pool1d(np.array([[3.0, 1, 4, 1, 5, 9]]), kernel=2, stride=2)
-        np.testing.assert_array_equal(out, [[3, 4, 9]])
+        out, _ = ops.pool1d(np.array([[[3.0, 1, 4, 1, 5, 9]]]), kernel=2, stride=2)
+        np.testing.assert_array_equal(out, [[[3, 4, 9]]])
 
     def test_constant_input(self):
-        out, _ = ops.pool1d(np.full((2, 8), 2.5), kernel=2, stride=2)
-        np.testing.assert_array_equal(out, np.full((2, 4), 2.5))
+        out, _ = ops.pool1d(np.full((1, 2, 8), 2.5), kernel=2, stride=2)
+        np.testing.assert_array_equal(out, np.full((1, 2, 4), 2.5))
 
     def test_same_padding_edge_replication(self):
         # hand enumeration over [1,1,2,3,4,4] with kernel 3
-        out, _ = ops.pool1d(np.array([[1.0, 2, 3, 4]]), kernel=3, stride=1, padding="same")
-        np.testing.assert_array_equal(out, [[2, 3, 4, 4]])
+        out, _ = ops.pool1d(np.array([[[1.0, 2, 3, 4]]]), kernel=3, stride=1, padding="same")
+        np.testing.assert_array_equal(out, [[[2, 3, 4, 4]]])
 
     @pytest.mark.parametrize("length", range(4, 40, 2))
     def test_stride2_halves_even_lengths(self, length):
-        out, _ = ops.pool1d(np.zeros((3, length)), kernel=2, stride=2)
-        assert out.shape == (3, length // 2)
+        out, _ = ops.pool1d(np.zeros((1, 3, length)), kernel=2, stride=2)
+        assert out.shape == (1, 3, length // 2)
 
     @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 1), (3, 2), (2, 3)])
     @pytest.mark.parametrize("padding", ["valid", "same"])
     def test_matches_loop_oracle(self, kernel, stride, padding):
         rng = np.random.default_rng(kernel * 10 + stride)
-        x = rng.normal(size=(3, 13))
+        x = rng.normal(size=(1, 3, 13))
         got, _ = ops.pool1d(x, kernel, stride, padding)
         np.testing.assert_array_equal(got, pool1d_loops(x, kernel, stride, padding)[0])
 
     def test_partial_tail_window(self):
         # ceil mode: length 7, kernel 2, stride 2 -> 4 windows, last is [g]
-        out, _ = ops.pool1d(np.array([[1.0, 5, 2, 6, 3, 7, 4]]), kernel=2, stride=2)
-        np.testing.assert_array_equal(out, [[5, 6, 7, 4]])
+        out, _ = ops.pool1d(np.array([[[1.0, 5, 2, 6, 3, 7, 4]]]), kernel=2, stride=2)
+        np.testing.assert_array_equal(out, [[[5, 6, 7, 4]]])
 
     def test_short_input_rejected(self):
-        with pytest.raises(ShapeError):
-            ops.pool1d(np.zeros((1, 2)), kernel=3, stride=1)
+        with pytest.raises(ShapeError, match="shorter than pool kernel"):
+            ops.pool1d(np.zeros((1, 1, 2)), kernel=3, stride=1)
 
     def test_window_never_starts_past_the_end(self):
         # length 12, kernel 2, stride 3: windows at 0, 3, 6, 9; sample
         # 11 lies in the gap after [9, 10], not in a window at 12
-        out, cache = ops.pool1d(np.arange(12.0)[None], kernel=2, stride=3)
-        np.testing.assert_array_equal(out, [[1, 4, 7, 10]])
+        out, cache = ops.pool1d(np.arange(12.0)[None, None], kernel=2, stride=3)
+        np.testing.assert_array_equal(out, [[[1, 4, 7, 10]]])
         np.testing.assert_array_equal(cache.positions[0], [[1, 4, 7, 10]])
 
     @staticmethod
@@ -268,20 +270,20 @@ class TestPool1d:
 
 class TestDense:
     def test_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(ops.dense(x, np.eye(3), np.zeros(3)), x)
 
     def test_zero_weights_give_bias(self):
-        out = ops.dense(np.ones(4), np.zeros((2, 4)), np.array([5.0, -1.0]))
-        np.testing.assert_array_equal(out, [5.0, -1.0])
+        out = ops.dense(np.ones((1, 4)), np.zeros((2, 4)), np.array([5.0, -1.0]))
+        np.testing.assert_array_equal(out, [[5.0, -1.0]])
 
     def test_hand_product(self):
-        out = ops.dense(np.array([1.0, 1.0]), np.array([[1.0, 2], [3, 4]]), np.zeros(2))
-        np.testing.assert_array_equal(out, [3.0, 7.0])
+        out = ops.dense(np.array([[1.0, 1.0]]), np.array([[1.0, 2], [3, 4]]), np.zeros(2))
+        np.testing.assert_array_equal(out, [[3.0, 7.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            ops.dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+            ops.dense(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -387,9 +389,9 @@ class TestDropout:
     def test_backward_uses_same_mask(self):
         rng = np.random.default_rng(9)
         x = np.random.default_rng(1).normal(size=(4, 5))
-        out, cache = ops.dropout(x, 0.5, rng, training=True)
+        out, mask = ops.dropout(x, 0.5, rng, training=True)
         up = np.ones_like(x)
-        d = ops.dropout_backward(up, cache)
+        d = ops.dropout_backward(up, mask)
         # gradient is the mask itself: zero exactly where output is zero
         np.testing.assert_array_equal(d == 0, out == 0)
 
@@ -420,6 +422,19 @@ class TestSoftmaxXent:
         _, d = ops.softmax_xent(logits, labels, w)
         num = numeric_grad(lambda z: ops.softmax_xent(z, labels, w)[0], logits.copy())
         assert rel_err(d, num) < 1e-4
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ops.conv1d(np.zeros((2, 8)), np.zeros((1, 2, 3)), np.zeros(1)),
+    lambda: ops.conv1d_backward(np.zeros((1, 1, 8)), np.zeros((2, 8)), np.zeros((1, 2, 3))),
+    lambda: ops.pool1d(np.zeros((2, 8)), 2, 2),
+    lambda: ops.softmax_xent(np.zeros(9), np.zeros(1, dtype=np.int64)),
+], ids=["conv1d", "conv1d_backward", "pool1d", "softmax_xent"])
+def test_unbatched_input_rejected(call):
+    # one (C, L) window for the layer ops, one (F,) logit row for the loss:
+    # each must be rejected by its rank check, not promoted to a batch of one
+    with pytest.raises(ShapeError, match="rank"):
+        call()
 
 
 class TestFiniteDiffHarness:
