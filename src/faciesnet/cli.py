@@ -1,10 +1,15 @@
 """Command-line entry point: train, predict, evaluate, gradcheck, synth.
 
 Configuration comes from an INI-style file (sections [data], [model],
-[training], [synth]) with command-line flags taking precedence. Every
-key is schema-checked and all problems are reported together. Exit
-codes: 0 success, 1 check failure, 2 configuration error, 3 data or
-model mismatch or numeric failure, 4 missing labels.
+[training], [synth]) with command-line flags taking precedence. A
+[model], [training] or [synth] key sets the field of the same name on
+ModelSpec or InceptionSpec, TrainConfig or SynthConfig: its value is
+cast by the field's annotated type and the dataclass checks its range.
+Only the keys that set no field ([data]'s four, [model] stages and
+[synth] wells) are described here. All problems in a file are reported
+together, each naming its [section] key. Exit codes: 0 success, 1 check
+failure, 2 configuration error, 3 data or model mismatch or numeric
+failure, 4 missing labels.
 """
 
 import argparse
@@ -12,7 +17,7 @@ import configparser
 import csv
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,68 +39,7 @@ SYNTH_WELLS = 1  # wells `synth` writes when [synth] wells is not set
 
 
 # ---------------------------------------------------------------------------
-# config file schema
-
-def _int(s):
-    return int(s)
-
-
-def _positive_int(s):
-    v = int(s)
-    if v < 1:
-        raise ValueError("must be >= 1")
-    return v
-
-
-def _nonneg_int(s):
-    v = int(s)
-    if v < 0:
-        raise ValueError("must be >= 0")
-    return v
-
-
-def _odd_int(s):
-    v = int(s)
-    if v < 1 or v % 2 == 0:
-        raise ValueError("must be odd and >= 1")
-    return v
-
-
-def _kernel(s):
-    # 0 disables the stem; anything else must be odd
-    v = int(s)
-    if v < 0 or (v and v % 2 == 0):
-        raise ValueError("must be 0 or an odd length")
-    return v
-
-
-def _positive_float(s):
-    v = float(s)
-    if v <= 0:
-        raise ValueError("must be > 0")
-    return v
-
-
-def _nonneg_float(s):
-    v = float(s)
-    if v < 0:
-        raise ValueError("must be >= 0")
-    return v
-
-
-def _rate(s):
-    v = float(s)
-    if not 0.0 <= v < 1.0:
-        raise ValueError("must be in [0, 1)")
-    return v
-
-
-def _decay_factor(s):
-    v = float(s)
-    if not 0.0 < v <= 1.0:
-        raise ValueError("must be in (0, 1]")
-    return v
-
+# config file
 
 def _boolean(s):
     lowered = s.strip().lower()
@@ -110,150 +54,146 @@ def _names(s):
     return tuple(t.strip() for t in s.split(",") if t.strip())
 
 
-def _int_list(s):
-    return tuple(_positive_int(t) for t in s.split(",") if t.strip())
+def _ints(s):
+    return tuple(int(t) for t in s.split(",") if t.strip())
 
 
-def _text(s):
-    return s.strip()
+def _count(s):
+    v = int(s)
+    if v < 1:
+        raise ValueError("must be >= 1")
+    return v
 
 
-SCHEMA = {
-    "data": {
-        "path": _text,
-        "blind_wells": _names,
-        "allow_missing_pe": _boolean,
-        "adjacency": _text,
-    },
-    "model": {
-        "window": _odd_int,
-        "stem_kernel": _kernel,
-        "stem_channels": _positive_int,
-        "stages": _positive_int,
-        "branch_1x1": _positive_int,
-        "reduce_small": _positive_int,
-        "small_kernel": _odd_int,
-        "small_channels": _positive_int,
-        "reduce_large": _positive_int,
-        "large_kernel": _odd_int,
-        "large_channels": _positive_int,
-        "pool_proj": _positive_int,
-        "fc_sizes": _int_list,
-        "dropout": _rate,
-    },
-    "training": {
-        "batch_size": _positive_int,
-        "learning_rate": _positive_float,
-        "momentum": _rate,
-        "epochs": _positive_int,
-        "seed": _int,
-        "use_class_weights": _boolean,
-        "validation_wells": _names,
-        "patience": _nonneg_int,
-        "lr_decay_every": _nonneg_int,
-        "lr_decay_factor": _decay_factor,
-    },
-    "synth": {
-        "n_samples": _positive_int,
-        "p_stay": _rate,
-        "sigma": _nonneg_float,
-        "seed": _int,
-        "wells": _positive_int,
-    },
+# a key's value is cast by the annotated type of the field it sets;
+# the dataclass then checks its range
+CASTS = {
+    int: int,
+    float: float,
+    bool: _boolean,
+    tuple[int, ...]: _ints,
+    tuple[str, ...]: _names,
 }
 
 
-def read_config_file(path) -> dict:
-    """Parse and schema-check a config file; every problem is reported.
+def _field_keys(cls, leave_out=()) -> dict:
+    """{field name: cast} for the fields of cls a config file sets."""
+    return {f.name: CASTS[f.type] for f in fields(cls) if f.name not in leave_out}
 
-    Returns {section: {key: typed value}} for the keys present.
-    """
+
+INCEPTION_KEYS = _field_keys(InceptionSpec)
+# in_channels and n_classes are fixed by the data; stages is set by count
+MODEL_KEYS = _field_keys(ModelSpec, leave_out=("in_channels", "n_classes", "stages"))
+TRAINING_KEYS = _field_keys(TrainConfig)
+SYNTH_KEYS = _field_keys(SynthConfig, leave_out=("means",))
+SECTIONS = {
+    # the keys that set no dataclass field are the only hand-written ones
+    "data": {"path": str.strip, "blind_wells": _names,
+             "allow_missing_pe": _boolean, "adjacency": str.strip},
+    "model": {**MODEL_KEYS, **INCEPTION_KEYS, "stages": _count},
+    "training": TRAINING_KEYS,
+    "synth": {**SYNTH_KEYS, "wells": _count},
+}
+
+
+@dataclass(frozen=True)
+class Config:
+    """What a config file resolves to."""
+
+    data: dict          # the [data] keys present
+    model: ModelSpec
+    training: TrainConfig
+    synth: SynthConfig
+    synth_wells: int    # how many wells `synth` writes
+
+
+def _read_values(path) -> tuple[dict, list]:
+    """The typed values of a config file's keys, {section: {key: value}},
+    and one message per unknown section or key and unparseable value."""
     parser = configparser.ConfigParser(strict=True)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+        # reading a value interpolates it, which can fail too
+        sections = {name: dict(parser[name]) for name in parser.sections()}
     except UnicodeDecodeError:
         raise ConfigError(f"config file {path}: not UTF-8 text")
     except configparser.Error as exc:
         raise ConfigError(f"config file {path}: {exc}")
 
     values, errors = {}, []
-    for section in parser.sections():
-        if section not in SCHEMA:
+    for section, pairs in sections.items():
+        if section not in SECTIONS:
             errors.append(f"unknown section [{section}]")
             continue
         values[section] = {}
-        for key, raw in parser[section].items():
-            caster = SCHEMA[section].get(key)
-            if caster is None:
-                errors.append(f"unknown key {key!r} in [{section}]")
+        for key, raw in pairs.items():
+            cast = SECTIONS[section].get(key)
+            if cast is None:
+                errors.append(f"[{section}] unknown key {key!r}")
                 continue
             try:
-                values[section][key] = caster(raw)
+                values[section][key] = cast(raw)
             except ValueError as exc:
                 reason = str(exc) if str(exc).startswith("must") else "not parseable"
-                errors.append(f"bad value for {key!r} in [{section}]: "
-                              f"{raw!r} ({reason})")
-    if errors:
-        raise ConfigError("config file " + str(path) + ":\n  "
-                          + "\n  ".join(errors))
-    return values
+                errors.append(f"[{section}] {key} = {raw!r}: {reason}")
+    return values, errors
 
 
-def _section(cfg: dict, name: str) -> dict:
-    return cfg.get(name, {})
+def load_config(path, seed=None) -> Config:
+    """Every config object, built from the file at `path` (without one,
+    from the dataclass defaults), with a --seed override applied.
 
-
-def build_model_spec(cfg: dict) -> ModelSpec:
-    """ModelSpec from the [model] keys present; the dataclasses supply the rest.
-
-    The inception keys describe one stage, repeated `stages` times.
+    Unknown sections and keys, unparseable values and every rule the
+    dataclasses reject are reported together, in one ConfigError naming
+    the file and each [section] key.
     """
-    m = dict(_section(cfg, "model"))
-    stage = InceptionSpec(**{f.name: m.pop(f.name) for f in fields(InceptionSpec)
-                             if f.name in m})
-    n_stages = m.pop("stages", len(ModelSpec().stages))
-    return ModelSpec(stages=(stage,) * n_stages, **m)
+    values, errors = _read_values(path) if path else ({}, [])
 
+    def build(cls, section, keys, **extra):
+        given = {k: v for k, v in values.get(section, {}).items() if k in keys}
+        try:
+            return cls(**given, **extra)
+        except ConfigError as exc:
+            errors.extend(f"[{section}] {problem}" for problem in exc.problems)
+            return cls()  # a stand-in, so the other sections are still checked
 
-def build_train_config(cfg: dict, seed_override=None) -> TrainConfig:
-    """TrainConfig from the [training] keys present; --seed wins over the file."""
-    t = dict(_section(cfg, "training"))
-    if seed_override is not None:
-        t["seed"] = seed_override
-    return TrainConfig(**t)
-
-
-def build_synth_config(cfg: dict, seed_override=None) -> tuple[SynthConfig, int]:
-    """SynthConfig from the [synth] keys present, plus the number of wells."""
-    s = dict(_section(cfg, "synth"))
-    n_wells = s.pop("wells", SYNTH_WELLS)
-    if seed_override is not None:
-        s["seed"] = seed_override
-    return SynthConfig(**s), n_wells
+    n_stages = values.get("model", {}).get("stages", len(ModelSpec().stages))
+    stage = build(InceptionSpec, "model", INCEPTION_KEYS)
+    config = Config(
+        data=values.get("data", {}),
+        model=build(ModelSpec, "model", MODEL_KEYS, stages=(stage,) * n_stages),
+        training=build(TrainConfig, "training", TRAINING_KEYS),
+        synth=build(SynthConfig, "synth", SYNTH_KEYS),
+        synth_wells=values.get("synth", {}).get("wells", SYNTH_WELLS))
+    if errors:
+        raise ConfigError(f"config file {path}:\n  " + "\n  ".join(errors))
+    if seed is not None:
+        config = replace(config, training=replace(config.training, seed=seed),
+                         synth=replace(config.synth, seed=seed))
+    return config
 
 
 # ---------------------------------------------------------------------------
 # shared plumbing
 
 def _load_wells(args, cfg):
-    data_path = args.data or _section(cfg, "data").get("path")
+    data_path = args.data or cfg.data.get("path")
     if not data_path:
         raise ConfigError("no data file given (positional argument or "
                           "[data] path in the config file)")
-    allow_pe = args.allow_missing_pe or _section(cfg, "data").get(
-        "allow_missing_pe", False)
+    allow_pe = args.allow_missing_pe or cfg.data.get("allow_missing_pe", False)
     return parse_csv(data_path, allow_missing_pe=allow_pe), allow_pe
 
 
 def _blind_names(args, cfg):
     if args.blind_wells:
         return _names(args.blind_wells)
-    return _section(cfg, "data").get("blind_wells", ())
+    return cfg.data.get("blind_wells", ())
 
 
 def _adjacency_table(args, cfg) -> FaciesTable:
-    path = args.adjacency or _section(cfg, "data").get("adjacency")
+    path = args.adjacency or cfg.data.get("adjacency")
     if not path:
         return FaciesTable()
     try:
@@ -301,9 +241,7 @@ def _predict_wells(model, wells, threads):
 # commands
 
 def cmd_train(args) -> int:
-    cfg = read_config_file(args.config) if args.config else {}
-    spec = build_model_spec(cfg)
-    train_config = build_train_config(cfg, seed_override=args.seed)
+    cfg = load_config(args.config, args.seed)
     wells, allow_pe = _load_wells(args, cfg)
 
     unlabeled = [w.name for w in wells if w.labels is None]
@@ -318,23 +256,23 @@ def cmd_train(args) -> int:
         # wells left, train reports that
         wells = impute_pe(wells, fit_standardizer(wells).mean["PE"])
 
-    checkpoint, report = train(train_config, wells, spec=spec)
+    checkpoint, report = train(cfg.training, wells, spec=cfg.model)
     out = _out_dir(args)
     checkpoint.save(out / "model.fnet")
     report.to_csv(out / "report.csv")
-    report.to_json(out / "report.json", spec)
+    report.to_json(out / "report.json", cfg.model)
 
     _echo_config("resolved training configuration:",
-                 sorted(asdict(train_config).items()))
+                 sorted(asdict(cfg.training).items()))
     print(f"trained {len(report.rows)} epochs on {len(wells)} wells "
-          f"(best epoch {report.best_epoch}, seed {train_config.seed})")
+          f"(best epoch {report.best_epoch}, seed {cfg.training.seed})")
     print(f"wrote {out / 'model.fnet'}, {out / 'report.csv'}, "
           f"{out / 'report.json'}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    cfg = read_config_file(args.config) if args.config else {}
+    cfg = load_config(args.config, args.seed)
     model, wells = _load_model_and_wells(args, cfg)
     series = _predict_wells(model, wells, args.threads)
     out = _out_dir(args)
@@ -356,7 +294,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = read_config_file(args.config) if args.config else {}
+    cfg = load_config(args.config, args.seed)
     table = _adjacency_table(args, cfg)
     model, wells = _load_model_and_wells(args, cfg)
     unlabeled = [w.name for w in wells if w.labels is None]
@@ -400,13 +338,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = read_config_file(args.config) if args.config else {}
-    synth_config, n_wells = build_synth_config(cfg, seed_override=args.seed)
-    wells = generate_wells(synth_config, n_wells)
+    cfg = load_config(args.config, args.seed)
+    wells = generate_wells(cfg.synth, cfg.synth_wells)
     write_csv(wells, args.out_csv)
     total = sum(len(w.depth) for w in wells)
-    print(f"wrote {n_wells} wells ({total} samples) to {args.out_csv} "
-          f"(seed {synth_config.seed})")
+    print(f"wrote {len(wells)} wells ({total} samples) to {args.out_csv} "
+          f"(seed {cfg.synth.seed})")
     return 0
 
 

@@ -14,8 +14,28 @@ class DataFormatError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value or key."""
+    """Invalid configuration value or key.
+
+    `problems` holds one message per failed rule; the error reads them
+    joined with "; ".
+    """
+
+    def __init__(self, *problems):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 class MissingLabelsError(ValueError):
     """Labeled data was required but labels are absent."""
+
+
+def check_rules(rules) -> None:
+    """Raise one ConfigError listing the message of every (holds, message)
+    rule that does not hold.
+
+    Each message starts with the field it is about, so a config reader
+    can put its file and section in front of it.
+    """
+    failed = [message for holds, message in rules if not holds]
+    if failed:
+        raise ConfigError(*failed)

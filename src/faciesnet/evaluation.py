@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import DataFormatError, ShapeError
+from .errors import DataFormatError, NumericError, ShapeError
 from .network import INFERENCE_BATCH, Checkpoint, model_forward
 from .welldata import (FACIES_CODES, N_FACIES, FaciesTable, Well,
                        apply_standardizer, window_matrix)
@@ -218,15 +218,22 @@ def predict_with_confidence(model: Checkpoint, well: Well) -> PredictionSeries:
     the model in chunks of INFERENCE_BATCH windows.
 
     Confidence is the winning softmax probability, annotated with the
-    high (>= 0.7) / medium / low (< 0.5) band.
+    high (>= 0.7) / medium / low (< 0.5) band. A forward pass that
+    overflows float range, or makes a NaN from an infinity, raises
+    NumericError naming the well, as non-finite logits do; numpy's
+    floating-point warnings are raised there rather than printed.
     """
     scaled = apply_standardizer(model.standardizer, well)
     windows = window_matrix(scaled, model.spec.window)
     probs = np.empty((len(windows), model.spec.n_classes))
     for start in range(0, len(windows), INFERENCE_BATCH):
         chunk = windows[start:start + INFERENCE_BATCH]
-        logits, _ = model_forward(model.spec, model.params, chunk)
-        probs[start:start + len(chunk)] = ops.softmax(logits.astype(np.float64))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                logits, _ = model_forward(model.spec, model.params, chunk)
+                probs[start:start + len(chunk)] = ops.softmax(logits.astype(np.float64))
+        except (NumericError, FloatingPointError) as exc:
+            raise NumericError(f"well {well.name}: {exc}") from exc
     facies = probs.argmax(axis=1).astype(np.int64) + 1
     confidence = probs.max(axis=1)
     bands = [confidence_band(c) for c in confidence]

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError, check_rules
 from .welldata import CHANNELS, N_FACIES, Standardizer
 
 CHECKPOINT_MAGIC = "#fnet v1"
@@ -22,6 +22,10 @@ POOL_KERNEL = 2   # between-stage downsampling drops every other sample
 POOL_STRIDE = 2
 BRANCH_POOL_KERNEL = 3  # inside the inception pool branch: stride 1, same padding
 INFERENCE_BATCH = 1024  # windows per inference-mode forward pass
+
+
+def _odd_positive(n: int) -> bool:
+    return n >= 1 and n % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -38,15 +42,20 @@ class InceptionSpec:
     pool_proj: int = 8
 
     def __post_init__(self):
-        counts = (self.branch_1x1, self.reduce_small, self.small_channels,
-                  self.reduce_large, self.large_channels, self.pool_proj)
-        if min(counts) < 1:
-            raise ConfigError(f"all inception channel counts must be >= 1, got {counts}")
-        if self.small_kernel % 2 == 0 or self.large_kernel % 2 == 0:
-            raise ConfigError("inception kernels must be odd")
-        if not self.small_kernel < self.large_kernel:
-            raise ConfigError(f"small kernel {self.small_kernel} must be smaller "
-                              f"than large kernel {self.large_kernel}")
+        counts = ("branch_1x1", "reduce_small", "small_channels",
+                  "reduce_large", "large_channels", "pool_proj")
+        rules = [(getattr(self, name) >= 1, f"{name} must be >= 1, got {getattr(self, name)}")
+                 for name in counts]
+        rules += [
+            (_odd_positive(self.small_kernel),
+             f"small_kernel must be odd and >= 1, got {self.small_kernel}"),
+            (_odd_positive(self.large_kernel),
+             f"large_kernel must be odd and >= 1, got {self.large_kernel}"),
+            (self.small_kernel < self.large_kernel,
+             f"small_kernel must be smaller than large_kernel, got "
+             f"{self.small_kernel} and {self.large_kernel}"),
+        ]
+        check_rules(rules)
 
     @property
     def out_channels(self) -> int:
@@ -63,29 +72,32 @@ class ModelSpec:
     stem_kernel: int = 5        # 0 disables the stem conv
     stem_channels: int = 16
     stages: tuple = (InceptionSpec(), InceptionSpec())
-    fc_sizes: tuple = (64,)
+    fc_sizes: tuple[int, ...] = (64,)
     dropout: float = 0.5
     n_classes: int = N_FACIES
 
     def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
-            raise ConfigError(f"window must be odd and >= 1, got {self.window}")
-        if self.stem_kernel and (self.stem_kernel % 2 == 0 or self.stem_channels < 1):
-            raise ConfigError("stem kernel must be odd and stem channels >= 1")
-        if not self.stages:
-            raise ConfigError("at least one inception stage is required")
-        if any(s < 1 for s in self.fc_sizes):
-            raise ConfigError(f"fc sizes must be >= 1, got {self.fc_sizes}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.n_classes < 2:
-            raise ConfigError(f"need >= 2 output classes, got {self.n_classes}")
-        shortest = self.stage_lengths()[-2]
-        if shortest < POOL_KERNEL:
-            raise ConfigError(
+        rules = [
+            (_odd_positive(self.window),
+             f"window must be odd and >= 1, got {self.window}"),
+            (self.stem_kernel == 0 or _odd_positive(self.stem_kernel),
+             f"stem_kernel must be 0 (no stem) or odd and >= 1, got {self.stem_kernel}"),
+            (self.stem_channels >= 1,
+             f"stem_channels must be >= 1, got {self.stem_channels}"),
+            (len(self.stages) >= 1, "stages must hold at least one inception stage"),
+            (all(s >= 1 for s in self.fc_sizes),
+             f"fc_sizes must all be >= 1, got {self.fc_sizes}"),
+            (0.0 <= self.dropout < 1.0, f"dropout must be in [0, 1), got {self.dropout}"),
+            (self.n_classes >= 2, f"n_classes must be >= 2, got {self.n_classes}"),
+        ]
+        if _odd_positive(self.window) and self.stages:
+            shortest = self.stage_lengths()[-2]
+            rules.append((
+                shortest >= POOL_KERNEL,
                 f"window = {self.window} is too short for stages = "
                 f"{len(self.stages)}: it leaves the last stage {shortest} "
-                f"sample(s), fewer than the pool kernel {POOL_KERNEL}")
+                f"sample(s), fewer than the pool kernel {POOL_KERNEL}"))
+        check_rules(rules)
 
     def stage_lengths(self) -> list:
         """Series length entering each stage, plus the final pooled length."""
@@ -163,7 +175,7 @@ def _conv_relu(params, name, x):
     return ops.relu(pre), pre
 
 
-def inception_forward(ispec: InceptionSpec, params: dict, x: np.ndarray,
+def inception_forward(params: dict, x: np.ndarray,
                       prefix: str = "s0") -> tuple[np.ndarray, dict]:
     """Run the four branches in parallel and concatenate along channels.
 
@@ -171,7 +183,8 @@ def inception_forward(ispec: InceptionSpec, params: dict, x: np.ndarray,
     1x1 reduce then large kernel. Branch 4: same-padding max-pool then
     1x1 conv. Every branch is same-padded and ReLU-activated, so the
     output keeps the input length with branch_1x1 + small_channels +
-    large_channels + pool_proj channels.
+    large_channels + pool_proj channels; the branch shapes come from
+    the `{prefix}.*` parameters.
     """
     b1, pre1 = _conv_relu(params, f"{prefix}.b1", x)
     r2, pre2r = _conv_relu(params, f"{prefix}.b2r", x)
@@ -232,8 +245,8 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
         out, pre = _conv_relu(params, "stem", x)
         caches["stem"] = (x, pre)
         x = out
-    for i, st in enumerate(spec.stages):
-        out, inc_cache = inception_forward(st, params, x, prefix=f"s{i}")
+    for i in range(len(spec.stages)):
+        out, inc_cache = inception_forward(params, x, prefix=f"s{i}")
         pooled, pool_cache = ops.pool1d(out, POOL_KERNEL, POOL_STRIDE)
         caches["stages"].append((inc_cache, pool_cache))
         x = pooled

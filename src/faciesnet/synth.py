@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_rules
 from .welldata import CHANNELS, N_FACIES, Well
 
 DEPTH_START = 1000.0
@@ -34,16 +34,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not 0.0 <= self.p_stay < 1.0:
-            raise ConfigError(f"p_stay must be in [0, 1), got {self.p_stay}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         means = np.asarray(self.means, dtype=float)
-        if means.shape != (N_FACIES, len(CHANNELS)):
-            raise ConfigError(f"means must be {N_FACIES}x{len(CHANNELS)}, "
-                              f"got {means.shape}")
+        check_rules([
+            (self.n_samples >= 1, f"n_samples must be >= 1, got {self.n_samples}"),
+            (0.0 <= self.p_stay < 1.0, f"p_stay must be in [0, 1), got {self.p_stay}"),
+            (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (means.shape == (N_FACIES, len(CHANNELS)),
+             f"means must be {N_FACIES}x{len(CHANNELS)}, got {means.shape}"),
+        ])
         object.__setattr__(self, "means", means)
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, check_rules
 from .evaluation import confusion, precision_recall_f1
 from .network import (INFERENCE_BATCH, Checkpoint, ModelSpec, init_params,
                       model_backward, model_forward)
@@ -35,27 +35,26 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     use_class_weights: bool = False
-    validation_wells: tuple = ()
+    validation_wells: tuple[str, ...] = ()
     patience: int = 0           # early-stop stall budget; 0 disables
     lr_decay_every: int = 20    # epochs per halving step; 0 disables
     lr_decay_factor: float = 0.5
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if self.lr_decay_every < 0:
-            raise ConfigError(f"lr_decay_every must be >= 0, got {self.lr_decay_every}")
-        if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise ConfigError(f"lr_decay_factor must be in (0, 1], "
-                              f"got {self.lr_decay_factor}")
+        check_rules([
+            (self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}"),
+            (self.learning_rate > 0,
+             f"learning_rate must be > 0, got {self.learning_rate}"),
+            (0.0 <= self.momentum < 1.0,
+             f"momentum must be in [0, 1), got {self.momentum}"),
+            (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (self.patience >= 0, f"patience must be >= 0, got {self.patience}"),
+            (self.lr_decay_every >= 0,
+             f"lr_decay_every must be >= 0, got {self.lr_decay_every}"),
+            (0.0 < self.lr_decay_factor <= 1.0,
+             f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor}"),
+        ])
 
 
 @dataclass
@@ -244,8 +243,8 @@ def train(config: TrainConfig, train_wells: list,
     train_wells for validation. The standardizer is fitted on training
     wells only.
     """
-    train_wells, validation_wells = split_by_well(train_wells,
-                                                  list(config.validation_wells))
+    train_wells, validation_wells = split_by_well(
+        train_wells, list(config.validation_wells), what="validation_wells")
     if not train_wells:
         raise ConfigError("no training wells")
 

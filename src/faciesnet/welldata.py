@@ -364,14 +364,16 @@ def merge_window_sets(sets: list) -> WindowSet:
     )
 
 
-def split_by_well(wells: list, blind_names: list) -> tuple[list, list]:
-    """Partition wells by identity into (train, blind); never by row."""
+def split_by_well(wells: list, blind_names: list,
+                  what: str = "blind wells") -> tuple[list, list]:
+    """Partition wells by identity into (train, blind); never by row.
+    `what` names the list of names in errors."""
     if len(set(blind_names)) != len(blind_names):
-        raise ConfigError(f"duplicate blind well name in {blind_names}")
+        raise ConfigError(f"duplicate well name in {what}: {blind_names}")
     known = {w.name for w in wells}
     unknown = [n for n in blind_names if n not in known]
     if unknown:
-        raise ConfigError(f"blind wells not in data: {unknown}")
+        raise ConfigError(f"{what} not in data: {unknown}")
     blind_set = set(blind_names)
     train = [w for w in wells if w.name not in blind_set]
     blind = [w for w in wells if w.name in blind_set]

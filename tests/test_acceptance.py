@@ -72,7 +72,7 @@ def test_criterion_2_shapes_and_normalization(announce):
     inception_ok = True
     for length in range(8, 65):
         x = rng.standard_normal((1, 3, length)).astype(np.float32)
-        out, _ = inception_forward(ispec, params, x)
+        out, _ = inception_forward(params, x)
         expected_channels = ispec.out_channels
         inception_ok = inception_ok and out.shape == (1, expected_channels, length)
         assert expected_channels == 3 + 5 + 4 + 6

@@ -3,6 +3,7 @@ production, idempotence, exit codes, config handling, fault injection."""
 
 import csv
 import json
+import re
 import warnings
 from dataclasses import fields
 
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from faciesnet import ops
-from faciesnet.cli import SCHEMA, main, read_config_file
+from faciesnet.cli import load_config, main
 from faciesnet.errors import ConfigError
-from faciesnet.network import Checkpoint, InceptionSpec, ModelSpec
+from faciesnet.network import Checkpoint, ModelSpec
 from faciesnet.synth import SynthConfig, generate_wells
 from faciesnet.training import TrainConfig
 from faciesnet.welldata import default_adjacency, parse_csv, write_csv
@@ -64,48 +65,92 @@ def run_train(tmp_path, data_csv, small_cfg, out="run", extra=()):
     return code, out_dir
 
 
+# every [model], [training] and [synth] key, each at its default
+EVERY_KEY_AT_DEFAULT_CFG = """
+[model]
+window = 31
+stem_kernel = 5
+stem_channels = 16
+stages = 2
+branch_1x1 = 8
+reduce_small = 8
+small_kernel = 3
+small_channels = 16
+reduce_large = 8
+large_kernel = 7
+large_channels = 16
+pool_proj = 8
+fc_sizes = 64
+dropout = 0.5
+
+[training]
+batch_size = 64
+learning_rate = 0.01
+momentum = 0.9
+epochs = 100
+seed = 0
+use_class_weights = false
+validation_wells =
+patience = 0
+lr_decay_every = 20
+lr_decay_factor = 0.5
+
+[synth]
+n_samples = 2000
+p_stay = 0.95
+sigma = 0.5
+seed = 0
+wells = 1
+"""
+
+
 class TestConfigFile:
     def test_valid_file_parses(self, small_cfg):
-        cfg = read_config_file(small_cfg)
-        assert cfg["model"]["window"] == 9
-        assert cfg["training"]["epochs"] == 2
+        cfg = load_config(small_cfg)
+        assert cfg.model.window == 9
+        assert cfg.training.epochs == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[training]\nepoch = 5\n")
         with pytest.raises(ConfigError, match="unknown key 'epoch'"):
-            read_config_file(path)
+            load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[optimizer]\nlr = 0.1\n")
         with pytest.raises(ConfigError, match=r"unknown section \[optimizer\]"):
-            read_config_file(path)
+            load_config(path)
 
     def test_all_errors_listed_at_once(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("[training]\nepoch = 5\nepochs = zero\nmomentum = 2\n"
-                        "[model]\nwindow = 8\n")
+        path.write_text("[training]\nepoch = 5\nbatch_size = zero\nepochs = 0\n"
+                        "momentum = 2\n[model]\nwindow = 8\n")
         with pytest.raises(ConfigError) as err:
-            read_config_file(path)
+            load_config(path)
         message = str(err.value)
+        assert str(path) in message
         assert "unknown key 'epoch'" in message
-        assert "epochs" in message and "zero" in message
-        assert "momentum" in message
-        assert "window" in message
+        assert "[training] batch_size" in message and "zero" in message
+        # two out-of-range values in one section are both named
+        assert "[training] epochs" in message
+        assert "[training] momentum" in message
+        assert "[model] window" in message
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            read_config_file(tmp_path / "absent.cfg")
+            load_config(tmp_path / "absent.cfg")
 
-    def test_schema_keys_are_dataclass_fields(self):
-        # build_* hand the keys present straight to the dataclasses
-        def names(cls):
-            return {f.name for f in fields(cls)}
-        assert set(SCHEMA["training"]) == names(TrainConfig)
-        assert set(SCHEMA["synth"]) == names(SynthConfig) - {"means"} | {"wells"}
-        assert set(SCHEMA["model"]) == ((names(ModelSpec) - {"in_channels", "n_classes"})
-                                        | names(InceptionSpec))
+    def test_every_key_at_its_default_builds_the_defaults(self, tmp_path):
+        path = tmp_path / "defaults.cfg"
+        path.write_text(EVERY_KEY_AT_DEFAULT_CFG)
+        cfg = load_config(path)
+        assert cfg.model == ModelSpec()
+        assert cfg.training == TrainConfig()
+        synth, default = cfg.synth, SynthConfig()
+        for f in fields(SynthConfig):
+            assert np.array_equal(getattr(synth, f.name), getattr(default, f.name)), f.name
+        assert cfg.synth_wells == 1
 
 
 class TestTrainCommand:
@@ -382,10 +427,33 @@ def _repeat_first_row(raw):
     return b"\n".join(lines[:2] + lines[1:])
 
 
+def _scale_params(factor):
+    def edit(raw):
+        head, marker, blob = raw.partition(b"\n[blob]\n")
+        scaled = np.frombuffer(blob, dtype="<f4") * np.float32(factor)
+        return head + marker + scaled.astype("<f4").tobytes()
+    return edit
+
+
+def _set_key(section, key, value):
+    """Config edit: `key = value` first in [section], in place of any line
+    already setting key there."""
+    def edit(raw):
+        text = raw.decode()
+        if f"[{section}]\n" not in text:
+            text += f"\n[{section}]\n"
+        head, header, body = text.partition(f"[{section}]\n")
+        body = re.sub(rf"(?m)^{key} = .*\n", "", body, count=1)
+        return (head + header + f"{key} = {value}\n" + body).encode()
+    return edit
+
+
 NOT_UTF8 = b"# \xff\n"
 DIRECTORY, ABSENT = "directory", "absent"  # the file becomes a directory, or is not there
 EVALUATE = ("evaluate",)
+PREDICT = ("predict",)
 TRAIN = ("train",)
+SYNTH = ("synth",)
 ALL_BLIND = ("train", "--blind-wells", "SYNTH040,SYNTH041", "--allow-missing-pe")
 
 # (input, command, file replaced, how, exit code, text stderr must hold);
@@ -408,6 +476,7 @@ FILE_ROWS = [
     ("csv-not-utf8", "data", _first_row_cell(1, b"\xff"), 3),
     ("csv-header-only", "data", lambda raw: raw.split(b"\n")[0] + b"\n", 3),
     ("config-not-utf8", "config", lambda raw: raw + NOT_UTF8, 2),
+    ("config-bad-interpolation", "config", lambda raw: raw + b"[data]\nadjacency = a%b\n", 2),
     ("adjacency-not-utf8", "adjacency", lambda raw: raw + NOT_UTF8, 2),
     ("data-dir", "data", DIRECTORY, 2),
     ("config-dir", "config", DIRECTORY, 2),
@@ -429,7 +498,39 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
     ("train-window-too-short", TRAIN, "config",
      lambda raw: raw.replace(b"window = 9", b"window = 1"), 2,
      ("configuration error", "window")),
+    ("train-seed-flag-negative", TRAIN + ("--seed", "-3"), None, None, 2,
+     ("configuration error", "seed")),
+    ("synth-seed-flag-negative", SYNTH + ("--seed", "-1"), None, None, 2,
+     ("configuration error", "seed")),
+    ("ckpt-overflows", PREDICT, "checkpoint", _scale_params(1e18), 3,
+     ("numeric failure", "SYNTH040")),
+    ("ckpt-overflows-evaluate", EVALUATE, "checkpoint", _scale_params(1e18), 3,
+     ("numeric failure", "SYNTH040")),
+    ("validation-well-unknown", TRAIN, "config",
+     _set_key("training", "validation_wells", "NOPE"), 2,
+     ("configuration error: validation_wells not in data: ['NOPE']",)),
 ]
+
+# one value breaking one rule of a config dataclass, or the stages/wells
+# count: the message names the file and the [section] key
+RULE_ROWS = [
+    ("model", "window", "8"), ("model", "stem_kernel", "-3"), ("model", "stem_kernel", "4"),
+    ("model", "stem_channels", "0"), ("model", "stages", "0"), ("model", "branch_1x1", "0"),
+    ("model", "reduce_small", "0"), ("model", "small_kernel", "-1"),
+    ("model", "small_kernel", "4"), ("model", "small_kernel", "5"),
+    ("model", "small_channels", "0"), ("model", "reduce_large", "0"),
+    ("model", "large_kernel", "4"), ("model", "large_channels", "0"),
+    ("model", "pool_proj", "0"), ("model", "fc_sizes", "8,0"), ("model", "dropout", "1.0"),
+    ("training", "batch_size", "0"), ("training", "learning_rate", "0"),
+    ("training", "momentum", "1.0"), ("training", "epochs", "0"), ("training", "seed", "-1"),
+    ("training", "patience", "-1"), ("training", "lr_decay_every", "-1"),
+    ("training", "lr_decay_factor", "0"), ("training", "lr_decay_factor", "1.5"),
+    ("synth", "n_samples", "0"), ("synth", "p_stay", "1.0"), ("synth", "sigma", "-0.5"),
+    ("synth", "seed", "-1"), ("synth", "wells", "0"),
+]
+HOSTILE += [(f"{section}-{key}={value}", SYNTH if section == "synth" else TRAIN,
+             "config", _set_key(section, key, value), 2, ("{bad}", f"[{section}] {key}"))
+            for section, key, value in RULE_ROWS]
 
 
 @pytest.fixture(scope="module")
@@ -461,13 +562,16 @@ def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, command, tar
         elif how != ABSENT:
             bad.write_bytes(how(good_inputs[target].read_bytes()))
     sub, *flags = command
-    inputs = [paths["checkpoint"], paths["data"]] if sub == "evaluate" else [paths["data"]]
+    if sub == "synth":
+        args = [tmp_path / "synth.csv", "--config", paths["config"]]
+    else:
+        inputs = [paths["data"]] if sub == "train" else [paths["checkpoint"], paths["data"]]
+        args = [*inputs, "--config", paths["config"], "--adjacency", paths["adjacency"],
+                "--out", tmp_path / "out"]
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([sub, *map(str, inputs), "--config", str(paths["config"]),
-                     "--adjacency", str(paths["adjacency"]), "--out", str(tmp_path / "out"),
-                     *flags]) == code
+        assert main([sub, *map(str, args), *flags]) == code
     err = capsys.readouterr().err
     for text in expected:
         assert text.format(bad=bad) in err

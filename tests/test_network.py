@@ -45,6 +45,13 @@ class TestSpecs:
         with pytest.raises(ConfigError):
             InceptionSpec(small_kernel=4)
 
+    def test_negative_kernels_rejected(self):
+        # numpy would fail on them later, in init_params
+        with pytest.raises(ConfigError, match="small_kernel"):
+            InceptionSpec(small_kernel=-1)
+        with pytest.raises(ConfigError, match="stem_kernel"):
+            ModelSpec(stem_kernel=-3)
+
     def test_kernel_ordering_enforced(self):
         with pytest.raises(ConfigError):
             InceptionSpec(small_kernel=7, large_kernel=3)
@@ -123,7 +130,7 @@ class TestInceptionForward:
         spec = tiny_spec(stages=(ispec,), window=17)
         params = init_params(spec, seed=0)
         x = np.random.default_rng(0).standard_normal((2, 4, 17)).astype(np.float32)
-        out, _ = inception_forward(ispec, params, x)
+        out, _ = inception_forward(params, x)
         assert out.shape == (2, 3 + 5 + 4 + 6, 17)
 
     @pytest.mark.parametrize("length", [8, 16, 33, 64])
@@ -138,14 +145,14 @@ class TestInceptionForward:
             params[name] = rng.standard_normal(shape)
             params[name.replace(".kernels", ".bias")] = np.zeros(shape[0])
         x = rng.standard_normal((2, 3, length))
-        out, _ = inception_forward(ispec, params, x)
+        out, _ = inception_forward(params, x)
         assert out.shape == (2, ispec.out_channels, length)
 
     def test_zero_input_zero_bias_gives_zero_output(self):
         spec = tiny_spec()
         params = init_params(spec, seed=2)
         x = np.zeros((1, 4, 9), dtype=np.float32)
-        out, _ = inception_forward(spec.stages[0], params, x)
+        out, _ = inception_forward(params, x)
         assert not out.any()
 
     def test_hand_built_single_channel_block(self):
@@ -163,7 +170,7 @@ class TestInceptionForward:
             "s0.b4.kernels": np.ones((1, 1, 1)), "s0.b4.bias": np.zeros(1),
         }
         x = np.array([[[-1.0, 2.0, -3.0, 4.0, -5.0]]])
-        out, _ = inception_forward(ispec, params, x)
+        out, _ = inception_forward(params, x)
         expected = np.array([[
             [0.0, 4.0, 0.0, 8.0, 0.0],    # 2x through relu
             [0.0, 2.0, 0.0, 4.0, 0.0],    # relu then centred 3-tap identity

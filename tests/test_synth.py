@@ -33,6 +33,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SynthConfig(means=np.zeros((3, 7)))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SynthConfig(seed=-1)
+
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig(n_samples=0)

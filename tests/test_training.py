@@ -42,10 +42,18 @@ class TestTrainConfig:
         {"batch_size": 0}, {"learning_rate": 0.0},
         {"momentum": 1.0}, {"epochs": 0},
         {"patience": -1}, {"lr_decay_every": -1}, {"lr_decay_factor": 0.0},
+        {"seed": -1},
     ])
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        (name, _), = kwargs.items()
+        with pytest.raises(ConfigError, match=name):
             TrainConfig(**kwargs)
+
+    def test_every_failed_rule_reported(self):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(epochs=0, momentum=2.0, learning_rate=float("nan"))
+        assert [p.split()[0] for p in err.value.problems] == ["learning_rate", "momentum",
+                                                             "epochs"]
 
 
 class TestCrossEntropy:
