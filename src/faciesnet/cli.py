@@ -30,7 +30,7 @@ from .evaluation import (evaluate, export_plot_data, predict_with_confidence,
 from .network import Checkpoint, InceptionSpec, ModelSpec
 from .synth import SynthConfig, generate_wells
 from .training import TrainConfig, train
-from .welldata import (FaciesTable, fit_standardizer, impute_pe,
+from .welldata import (N_FACIES, FaciesTable, fit_standardizer, impute_pe,
                        load_adjacency, parse_csv, split_by_well, write_csv)
 
 GRADCHECK_SEEDS = range(5)
@@ -82,10 +82,9 @@ def _field_keys(cls, leave_out=()) -> dict:
 
 
 INCEPTION_KEYS = _field_keys(InceptionSpec)
-# in_channels and n_classes are fixed by the data; stages is set by count
-MODEL_KEYS = _field_keys(ModelSpec, leave_out=("in_channels", "n_classes", "stages"))
+MODEL_KEYS = _field_keys(ModelSpec, leave_out=("stages",))  # stages is set by count
 TRAINING_KEYS = _field_keys(TrainConfig)
-SYNTH_KEYS = _field_keys(SynthConfig, leave_out=("means",))
+SYNTH_KEYS = _field_keys(SynthConfig)
 SECTIONS = {
     # the keys that set no dataclass field are the only hand-written ones
     "data": {"path": str.strip, "blind_wells": _names,
@@ -280,7 +279,7 @@ def cmd_predict(args) -> int:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["well", "depth", "facies"]
-                        + [f"p{f}" for f in range(1, 10)]
+                        + [f"p{f}" for f in range(1, N_FACIES + 1)]
                         + ["confidence", "band"])
         for s in series:
             for i in range(len(s)):
@@ -364,17 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="well-log CSV (or [data] path in the config)")
         p.add_argument("--config", default=None, help="config file path")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the configured seed")
+                       help="override the configured seed (predict/evaluate only check it)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--blind-wells", default=None,
                        help="comma-separated well names: held out of "
                             "training, selected by predict/evaluate")
         p.add_argument("--adjacency", default=None,
-                       help="adjacency map file (facies: neighbours lines)")
+                       help="evaluate's adjacency map file (facies: neighbours lines)")
         p.add_argument("--allow-missing-pe", action="store_true",
                        help="impute missing PE values instead of failing")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-well prediction")
+                       help="worker threads for per-well prediction (not train)")
 
     p_train = sub.add_parser("train", help="train a model on labeled wells")
     common(p_train)

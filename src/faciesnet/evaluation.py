@@ -225,7 +225,7 @@ def predict_with_confidence(model: Checkpoint, well: Well) -> PredictionSeries:
     """
     scaled = apply_standardizer(model.standardizer, well)
     windows = window_matrix(scaled, model.spec.window)
-    probs = np.empty((len(windows), model.spec.n_classes))
+    probs = np.empty((len(windows), N_FACIES))
     for start in range(0, len(windows), INFERENCE_BATCH):
         chunk = windows[start:start + INFERENCE_BATCH]
         try:

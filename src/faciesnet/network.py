@@ -65,16 +65,15 @@ class InceptionSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Layer topology: stem conv, inception stages with downsampling, fc head."""
+    """Layer topology: stem conv, inception stages with downsampling, fc head.
+    The data fixes the input and output sizes: CHANNELS and N_FACIES."""
 
     window: int = 31
-    in_channels: int = len(CHANNELS)
     stem_kernel: int = 5        # 0 disables the stem conv
     stem_channels: int = 16
     stages: tuple = (InceptionSpec(), InceptionSpec())
     fc_sizes: tuple[int, ...] = (64,)
     dropout: float = 0.5
-    n_classes: int = N_FACIES
 
     def __post_init__(self):
         rules = [
@@ -88,7 +87,6 @@ class ModelSpec:
             (all(s >= 1 for s in self.fc_sizes),
              f"fc_sizes must all be >= 1, got {self.fc_sizes}"),
             (0.0 <= self.dropout < 1.0, f"dropout must be in [0, 1), got {self.dropout}"),
-            (self.n_classes >= 2, f"n_classes must be >= 2, got {self.n_classes}"),
         ]
         if _odd_positive(self.window) and self.stages:
             shortest = self.stage_lengths()[-2]
@@ -98,6 +96,10 @@ class ModelSpec:
                 f"{len(self.stages)}: it leaves the last stage {shortest} "
                 f"sample(s), fewer than the pool kernel {POOL_KERNEL}"))
         check_rules(rules)
+
+    @property
+    def in_channels(self) -> int:
+        return len(CHANNELS)
 
     def stage_lengths(self) -> list:
         """Series length entering each stage, plus the final pooled length."""
@@ -140,8 +142,8 @@ def param_shapes(spec: ModelSpec) -> dict:
         shapes[f"fc{j}.weights"] = (size, n)
         shapes[f"fc{j}.bias"] = (size,)
         n = size
-    shapes["out.weights"] = (spec.n_classes, n)
-    shapes["out.bias"] = (spec.n_classes,)
+    shapes["out.weights"] = (N_FACIES, n)
+    shapes["out.bias"] = (N_FACIES,)
     return shapes
 
 
@@ -171,12 +173,21 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> dict:
 # forward / backward
 
 def _conv_relu(params, name, x):
+    """Conv then ReLU; returns (output, cache) with cache = (x, pre-activation)."""
     pre = ops.conv1d(x, params[f"{name}.kernels"], params[f"{name}.bias"])
-    return ops.relu(pre), pre
+    return ops.relu(pre), (x, pre)
+
+
+def _conv_relu_backward(params, name, cache, grad, grads):
+    """Backward through _conv_relu; fills grads[name.*], returns d_input."""
+    x, pre = cache
+    d_x, grads[f"{name}.kernels"], grads[f"{name}.bias"] = ops.conv1d_backward(
+        ops.relu_backward(grad, pre), x, params[f"{name}.kernels"])
+    return d_x
 
 
 def inception_forward(params: dict, x: np.ndarray,
-                      prefix: str = "s0") -> tuple[np.ndarray, dict]:
+                      prefix: str = "s0") -> tuple[np.ndarray, tuple]:
     """Run the four branches in parallel and concatenate along channels.
 
     Branch 1: 1x1 conv. Branch 2: 1x1 reduce then small kernel. Branch 3:
@@ -186,41 +197,33 @@ def inception_forward(params: dict, x: np.ndarray,
     large_channels + pool_proj channels; the branch shapes come from
     the `{prefix}.*` parameters.
     """
-    b1, pre1 = _conv_relu(params, f"{prefix}.b1", x)
-    r2, pre2r = _conv_relu(params, f"{prefix}.b2r", x)
-    b2, pre2 = _conv_relu(params, f"{prefix}.b2", r2)
-    r3, pre3r = _conv_relu(params, f"{prefix}.b3r", x)
-    b3, pre3 = _conv_relu(params, f"{prefix}.b3", r3)
+    b1, c1 = _conv_relu(params, f"{prefix}.b1", x)
+    r2, c2r = _conv_relu(params, f"{prefix}.b2r", x)
+    b2, c2 = _conv_relu(params, f"{prefix}.b2", r2)
+    r3, c3r = _conv_relu(params, f"{prefix}.b3r", x)
+    b3, c3 = _conv_relu(params, f"{prefix}.b3", r3)
     pooled, pool_cache = ops.pool1d(x, BRANCH_POOL_KERNEL, 1, padding="same")
-    b4, pre4 = _conv_relu(params, f"{prefix}.b4", pooled)
+    b4, c4 = _conv_relu(params, f"{prefix}.b4", pooled)
     out = ops.concat_channels([b1, b2, b3, b4])
-    cache = {"x": x, "pre1": pre1, "pre2r": pre2r, "r2": r2, "pre2": pre2,
-             "pre3r": pre3r, "r3": r3, "pre3": pre3,
-             "pool_cache": pool_cache, "pooled": pooled, "pre4": pre4}
-    return out, cache
+    return out, (c1, c2r, c2, c3r, c3, pool_cache, c4)
 
 
-def inception_backward(ispec: InceptionSpec, params: dict, cache: dict,
-                       grad: np.ndarray, prefix: str, grads: dict) -> np.ndarray:
-    """Backward through one inception block; fills grads, returns d_input."""
-    sizes = [ispec.branch_1x1, ispec.small_channels,
-             ispec.large_channels, ispec.pool_proj]
+def inception_backward(params: dict, cache: tuple, grad: np.ndarray,
+                       prefix: str, grads: dict) -> np.ndarray:
+    """Backward through one inception block; fills grads, returns d_input.
+
+    The branch widths come from the cached pre-activations.
+    """
+    c1, c2r, c2, c3r, c3, pool_cache, c4 = cache
+    sizes = [pre.shape[1] for _, pre in (c1, c2, c3, c4)]
     g1, g2, g3, g4 = ops.split_channels(grad, sizes)
-
-    def conv_back(name, g, pre, x_in):
-        g = ops.relu_backward(g, pre)
-        d_x, d_k, d_b = ops.conv1d_backward(g, x_in, params[f"{name}.kernels"])
-        grads[f"{name}.kernels"] = d_k
-        grads[f"{name}.bias"] = d_b
-        return d_x
-
-    d_x = conv_back(f"{prefix}.b1", g1, cache["pre1"], cache["x"])
-    g2r = conv_back(f"{prefix}.b2", g2, cache["pre2"], cache["r2"])
-    d_x += conv_back(f"{prefix}.b2r", g2r, cache["pre2r"], cache["x"])
-    g3r = conv_back(f"{prefix}.b3", g3, cache["pre3"], cache["r3"])
-    d_x += conv_back(f"{prefix}.b3r", g3r, cache["pre3r"], cache["x"])
-    g_pool = conv_back(f"{prefix}.b4", g4, cache["pre4"], cache["pooled"])
-    d_x += ops.pool1d_backward(g_pool, cache["pool_cache"])
+    d_x = _conv_relu_backward(params, f"{prefix}.b1", c1, g1, grads)
+    g2r = _conv_relu_backward(params, f"{prefix}.b2", c2, g2, grads)
+    d_x += _conv_relu_backward(params, f"{prefix}.b2r", c2r, g2r, grads)
+    g3r = _conv_relu_backward(params, f"{prefix}.b3", c3, g3, grads)
+    d_x += _conv_relu_backward(params, f"{prefix}.b3r", c3r, g3r, grads)
+    g_pool = _conv_relu_backward(params, f"{prefix}.b4", c4, g4, grads)
+    d_x += ops.pool1d_backward(g_pool, pool_cache)
     return d_x
 
 
@@ -242,9 +245,7 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
 
     caches = {"stages": [], "head": []}
     if spec.stem_kernel:
-        out, pre = _conv_relu(params, "stem", x)
-        caches["stem"] = (x, pre)
-        x = out
+        x, caches["stem"] = _conv_relu(params, "stem", x)
     for i in range(len(spec.stages)):
         out, inc_cache = inception_forward(params, x, prefix=f"s{i}")
         pooled, pool_cache = ops.pool1d(out, POOL_KERNEL, POOL_STRIDE)
@@ -282,13 +283,10 @@ def model_backward(spec: ModelSpec, params: dict, caches: dict,
     for i in reversed(range(len(spec.stages))):
         inc_cache, pool_cache = caches["stages"][i]
         g = ops.pool1d_backward(g, pool_cache)
-        g = inception_backward(spec.stages[i], params, inc_cache, g, f"s{i}", grads)
+        g = inception_backward(params, inc_cache, g, f"s{i}", grads)
 
     if spec.stem_kernel:
-        x, pre = caches["stem"]
-        g = ops.relu_backward(g, pre)
-        _, grads["stem.kernels"], grads["stem.bias"] = ops.conv1d_backward(
-            g, x, params["stem.kernels"])
+        _conv_relu_backward(params, "stem", caches["stem"], g, grads)
     return grads
 
 
@@ -303,7 +301,7 @@ def _spec_lines(spec: ModelSpec) -> list:
         f"stem_channels = {spec.stem_channels}",
         f"fc_sizes = {','.join(str(s) for s in spec.fc_sizes)}",
         f"dropout = {spec.dropout!r}",
-        f"n_classes = {spec.n_classes}",
+        f"n_classes = {N_FACIES}",
         f"n_stages = {len(spec.stages)}",
     ]
     for i, st in enumerate(spec.stages):
@@ -337,18 +335,20 @@ def _manifest_reader(path, kv: dict):
 
 
 def _spec_from_manifest(path, get) -> ModelSpec:
+    for key, size in (("in_channels", len(CHANNELS)), ("n_classes", N_FACIES)):
+        value = get(key, int)
+        if value != size:
+            raise DataFormatError(f"{path}: manifest {key!r} must be {size}, got {value}")
     try:
         stages = tuple(InceptionSpec(*get(f"stage{i}", _fields(int, 8)))
                        for i in range(get("n_stages", int)))
         return ModelSpec(
             window=get("window", int),
-            in_channels=get("in_channels", int),
             stem_kernel=get("stem_kernel", int),
             stem_channels=get("stem_channels", int),
             stages=stages,
             fc_sizes=get("fc_sizes", lambda s: tuple(int(t) for t in s.split(",") if t)),
             dropout=get("dropout", float),
-            n_classes=get("n_classes", int),
         )
     except ConfigError as exc:
         raise DataFormatError(f"{path}: manifest describes an invalid model: {exc}")
@@ -494,7 +494,7 @@ def gradient_check(seed: int) -> tuple[float, str]:
             params[name] = 0.1 * bias_rng.standard_normal(value.shape)
     data_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     x = data_rng.standard_normal((2, spec.in_channels, spec.window))
-    labels = data_rng.integers(0, spec.n_classes, size=2)
+    labels = data_rng.integers(0, N_FACIES, size=2)
     mask_seed = np.random.SeedSequence(entropy=seed, spawn_key=(2,))
 
     def loss_fn(p):

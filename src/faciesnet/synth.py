@@ -8,7 +8,7 @@ sigma 0 makes every sample exactly its centroid, larger sigma blends
 the classes together.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,23 +27,20 @@ def default_means() -> np.ndarray:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Well length, facies persistence, noise and seed; centroids are default_means()."""
+
     n_samples: int = 2000
     p_stay: float = 0.95
-    means: np.ndarray = field(default_factory=default_means)
     sigma: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
         check_rules([
             (self.n_samples >= 1, f"n_samples must be >= 1, got {self.n_samples}"),
             (0.0 <= self.p_stay < 1.0, f"p_stay must be in [0, 1), got {self.p_stay}"),
             (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-            (means.shape == (N_FACIES, len(CHANNELS)),
-             f"means must be {N_FACIES}x{len(CHANNELS)}, got {means.shape}"),
         ])
-        object.__setattr__(self, "means", means)
 
 
 def generate_well(config: SynthConfig) -> Well:
@@ -64,7 +61,7 @@ def generate_well(config: SynthConfig) -> Well:
             # uniform over the other eight states
             states[i] = (states[i - 1] + rng.integers(1, N_FACIES)) % N_FACIES
 
-    values = config.means[states].T
+    values = default_means()[states].T
     if config.sigma > 0:
         values = values + config.sigma * rng.standard_normal(values.shape)
     depth = DEPTH_START + DEPTH_STEP * np.arange(n, dtype=float)

@@ -49,6 +49,8 @@ class TrainConfig:
              f"momentum must be in [0, 1), got {self.momentum}"),
             (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (len(set(self.validation_wells)) == len(self.validation_wells),
+             f"validation_wells must not repeat a well, got {self.validation_wells}"),
             (self.patience >= 0, f"patience must be >= 0, got {self.patience}"),
             (self.lr_decay_every >= 0,
              f"lr_decay_every must be >= 0, got {self.lr_decay_every}"),
@@ -92,7 +94,9 @@ class TrainReport:
             "final_train_loss": self.rows[-1].train_loss if self.rows else None,
             "final_train_acc": self.rows[-1].train_acc if self.rows else None,
             "config": asdict(self.config),
-            "model": asdict(spec),
+            # the data's two sizes, in their places among the spec's fields
+            "model": {"window": spec.window, "in_channels": spec.in_channels,
+                      **asdict(spec), "n_classes": N_FACIES},
         }
         with open(path, "w") as fh:
             json.dump(summary, fh, indent=2)

@@ -66,12 +66,12 @@ def test_criterion_2_shapes_and_normalization(announce):
             sums_ok = sums_ok and bool(np.abs(sums - 1.0).max() <= 1e-6)
 
     ispec = InceptionSpec(3, 2, 3, 5, 2, 7, 4, 6)
-    spec = ModelSpec(window=9, in_channels=3, stem_kernel=0,
+    spec = ModelSpec(window=9, stem_kernel=0,
                      stages=(ispec,), fc_sizes=(4,), dropout=0.0)
     params = init_params(spec, seed=1)
     inception_ok = True
     for length in range(8, 65):
-        x = rng.standard_normal((1, 3, length)).astype(np.float32)
+        x = rng.standard_normal((1, 7, length)).astype(np.float32)
         out, _ = inception_forward(params, x)
         expected_channels = ispec.out_channels
         inception_ok = inception_ok and out.shape == (1, expected_channels, length)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from faciesnet import ops
-from faciesnet.cli import load_config, main
+from faciesnet.cli import CASTS, SECTIONS, load_config, main
 from faciesnet.errors import ConfigError
-from faciesnet.network import Checkpoint, ModelSpec
+from faciesnet.network import Checkpoint, InceptionSpec, ModelSpec
 from faciesnet.synth import SynthConfig, generate_wells
 from faciesnet.training import TrainConfig
 from faciesnet.welldata import default_adjacency, parse_csv, write_csv
@@ -147,10 +147,16 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.model == ModelSpec()
         assert cfg.training == TrainConfig()
-        synth, default = cfg.synth, SynthConfig()
-        for f in fields(SynthConfig):
-            assert np.array_equal(getattr(synth, f.name), getattr(default, f.name)), f.name
+        assert cfg.synth == SynthConfig()
         assert cfg.synth_wells == 1
+
+    @pytest.mark.parametrize("cls, section", [(ModelSpec, "model"), (InceptionSpec, "model"),
+                                              (TrainConfig, "training"), (SynthConfig, "synth")])
+    def test_every_field_is_a_key_cast_by_its_type(self, cls, section):
+        # stages is set by a count, not by its type
+        for f in fields(cls):
+            if f.name != "stages":
+                assert SECTIONS[section].get(f.name) is CASTS[f.type], f.name
 
 
 class TestTrainCommand:
@@ -163,6 +169,11 @@ class TestTrainCommand:
         stdout = capsys.readouterr().out
         assert "seed = 1" in stdout
         assert "resolved training configuration" in stdout
+        with open(out_dir / "report.json") as fh:
+            model = json.load(fh)["model"]
+        assert list(model) == ["window", "in_channels", "stem_kernel", "stem_channels",
+                               "stages", "fc_sizes", "dropout", "n_classes"]
+        assert (model["in_channels"], model["n_classes"]) == (7, 9)
 
     def test_same_seed_identical_checkpoints(self, tmp_path, data_csv, small_cfg):
         _, out_a = run_train(tmp_path, data_csv, small_cfg, out="a",
@@ -435,6 +446,31 @@ def _scale_params(factor):
     return edit
 
 
+def _resize_model(key, value, resized):
+    """Checkpoint edit: a consistent model with `key = value`, each param in
+    `resized` ({name: axis}) resized to value along that axis, the blob to
+    match."""
+    def edit(raw):
+        head, marker, blob = raw.partition(b"\n[blob]\n")
+        lines, chunks, offset = [], [], 0
+        for line in head.decode().split("\n"):
+            if line.startswith(f"{key} = "):
+                line = f"{key} = {value}"
+            elif line.startswith("param "):
+                _, name, *dims = line.split()
+                shape = [int(d) for d in dims]
+                n = int(np.prod(shape))
+                values = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
+                offset += 4 * n
+                if name in resized:
+                    shape[resized[name]] = value
+                    line = f"param {name} {' '.join(map(str, shape))}"
+                chunks.append(np.resize(values, int(np.prod(shape))).tobytes())
+            lines.append(line)
+        return "\n".join(lines).encode() + marker + b"".join(chunks)
+    return edit
+
+
 def _set_key(section, key, value):
     """Config edit: `key = value` first in [section], in place of any line
     already setting key there."""
@@ -510,6 +546,15 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
      _set_key("training", "validation_wells", "NOPE"), 2,
      ("configuration error: validation_wells not in data: ['NOPE']",)),
 ]
+# a consistent checkpoint whose input or output size is not the data's
+SIZE_ROWS = [
+    ("ckpt-5-classes", "n_classes", 5, {"out.weights": 0, "out.bias": 0}, 9),
+    ("ckpt-12-classes", "n_classes", 12, {"out.weights": 0, "out.bias": 0}, 9),
+    ("ckpt-3-channels", "in_channels", 3, {"stem.kernels": 1}, 7),
+]
+HOSTILE += [(f"{name}-{command[0]}", command, "checkpoint", _resize_model(key, value, resized),
+             3, (f"{{bad}}: manifest '{key}' must be {size}, got {value}",))
+            for name, key, value, resized, size in SIZE_ROWS for command in (PREDICT, EVALUATE)]
 
 # one value breaking one rule of a config dataclass, or the stages/wells
 # count: the message names the file and the [section] key
@@ -525,6 +570,7 @@ RULE_ROWS = [
     ("training", "momentum", "1.0"), ("training", "epochs", "0"), ("training", "seed", "-1"),
     ("training", "patience", "-1"), ("training", "lr_decay_every", "-1"),
     ("training", "lr_decay_factor", "0"), ("training", "lr_decay_factor", "1.5"),
+    ("training", "validation_wells", "SYNTH040,SYNTH040"),
     ("synth", "n_samples", "0"), ("synth", "p_stay", "1.0"), ("synth", "sigma", "-0.5"),
     ("synth", "seed", "-1"), ("synth", "wells", "0"),
 ]
@@ -576,5 +622,6 @@ def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, command, tar
     for text in expected:
         assert text.format(bad=bad) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
     # the error message is the one report: no numpy warning on the side
     assert [str(w.message) for w in caught] == []

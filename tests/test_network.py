@@ -52,6 +52,12 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="stem_kernel"):
             ModelSpec(stem_kernel=-3)
 
+    @pytest.mark.parametrize("size", ["in_channels", "n_classes"])
+    def test_data_sizes_are_not_options(self, size):
+        # CHANNELS and N_FACIES fix them
+        with pytest.raises(TypeError):
+            ModelSpec(**{size: 3})
+
     def test_kernel_ordering_enforced(self):
         with pytest.raises(ConfigError):
             InceptionSpec(small_kernel=7, large_kernel=3)
@@ -332,6 +338,14 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+    def test_manifest_restates_the_data_sizes(self, tmp_path):
+        path = tmp_path / "model.fnet"
+        save_checkpoint(tiny_spec(), init_params(tiny_spec(), seed=0),
+                        toy_standardizer(), path)
+        manifest = path.read_bytes().partition(b"\n[blob]\n")[0].decode().splitlines()
+        assert "in_channels = 7" in manifest
+        assert "n_classes = 9" in manifest
 
     def test_seed_recorded(self, tmp_path):
         spec = tiny_spec()

@@ -29,9 +29,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SynthConfig(sigma=-0.1)
 
-    def test_bad_means_shape_rejected(self):
-        with pytest.raises(ConfigError):
-            SynthConfig(means=np.zeros((3, 7)))
+    def test_means_are_not_an_option(self):
+        with pytest.raises(TypeError):
+            SynthConfig(means=default_means())
+
+    def test_configs_compare_and_hash_by_value(self):
+        assert SynthConfig() == SynthConfig()
+        assert hash(SynthConfig(seed=3)) == hash(SynthConfig(seed=3))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):

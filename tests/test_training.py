@@ -42,7 +42,7 @@ class TestTrainConfig:
         {"batch_size": 0}, {"learning_rate": 0.0},
         {"momentum": 1.0}, {"epochs": 0},
         {"patience": -1}, {"lr_decay_every": -1}, {"lr_decay_factor": 0.0},
-        {"seed": -1},
+        {"seed": -1}, {"validation_wells": ("SYNTH000", "SYNTH000")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         (name, _), = kwargs.items()
