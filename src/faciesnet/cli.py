@@ -282,11 +282,12 @@ def cmd_predict(args) -> int:
                         + [f"p{f}" for f in range(1, N_FACIES + 1)]
                         + ["confidence", "band"])
         for s in series:
-            for i in range(len(s)):
-                writer.writerow([s.well_name, repr(float(s.depth[i])),
-                                 int(s.facies[i])]
-                                + [repr(float(p)) for p in s.probs[i]]
-                                + [repr(float(s.confidence[i])), s.bands[i]])
+            rows = zip(s.depth.tolist(), s.facies.tolist(), s.probs.tolist(),
+                       s.confidence.tolist(), s.bands)
+            for depth, facies, probs, confidence, band in rows:
+                writer.writerow([s.well_name, repr(depth), facies]
+                                + [repr(p) for p in probs]
+                                + [repr(confidence), band])
     total = sum(len(s) for s in series)
     print(f"wrote {total} predictions for {len(series)} wells to {path}")
     return 0

@@ -262,11 +262,12 @@ def export_plot_data(report: EvalReport, series: list, out_dir) -> list:
         writer = csv.writer(fh)
         writer.writerow(["well", "depth", "predicted", "true", "confidence", "band"])
         for s in series:
-            for i in range(len(s)):
-                true = "" if s.true_labels is None else int(s.true_labels[i])
-                writer.writerow([s.well_name, repr(float(s.depth[i])),
-                                 int(s.facies[i]), true,
-                                 repr(float(s.confidence[i])), s.bands[i]])
+            true = [""] * len(s) if s.true_labels is None else s.true_labels.tolist()
+            rows = zip(s.depth.tolist(), s.facies.tolist(), true,
+                       s.confidence.tolist(), s.bands)
+            for depth, facies, label, confidence, band in rows:
+                writer.writerow([s.well_name, repr(depth), facies, label,
+                                 repr(confidence), band])
     paths.append(column_path)
 
     confusion_path = out / "confusion.csv"

@@ -172,10 +172,11 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> dict:
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def _conv_relu(params, name, x):
-    """Conv then ReLU; returns (output, cache) with cache = (x, pre-activation)."""
+def _conv_relu(params, name, x, training):
+    """Conv then ReLU; returns (output, cache) with cache = (x, pre-activation)
+    in training mode and None outside it."""
     pre = ops.conv1d(x, params[f"{name}.kernels"], params[f"{name}.bias"])
-    return ops.relu(pre), (x, pre)
+    return ops.relu(pre), ((x, pre) if training else None)
 
 
 def _conv_relu_backward(params, name, cache, grad, grads):
@@ -186,8 +187,8 @@ def _conv_relu_backward(params, name, cache, grad, grads):
     return d_x
 
 
-def inception_forward(params: dict, x: np.ndarray,
-                      prefix: str = "s0") -> tuple[np.ndarray, tuple]:
+def inception_forward(params: dict, x: np.ndarray, prefix: str = "s0",
+                      training: bool = False) -> tuple[np.ndarray, Optional[tuple]]:
     """Run the four branches in parallel and concatenate along channels.
 
     Branch 1: 1x1 conv. Branch 2: 1x1 reduce then small kernel. Branch 3:
@@ -195,16 +196,20 @@ def inception_forward(params: dict, x: np.ndarray,
     1x1 conv. Every branch is same-padded and ReLU-activated, so the
     output keeps the input length with branch_1x1 + small_channels +
     large_channels + pool_proj channels; the branch shapes come from
-    the `{prefix}.*` parameters.
+    the `{prefix}.*` parameters. The branch caches are returned in
+    training mode only; outside it the cache is None.
     """
-    b1, c1 = _conv_relu(params, f"{prefix}.b1", x)
-    r2, c2r = _conv_relu(params, f"{prefix}.b2r", x)
-    b2, c2 = _conv_relu(params, f"{prefix}.b2", r2)
-    r3, c3r = _conv_relu(params, f"{prefix}.b3r", x)
-    b3, c3 = _conv_relu(params, f"{prefix}.b3", r3)
-    pooled, pool_cache = ops.pool1d(x, BRANCH_POOL_KERNEL, 1, padding="same")
-    b4, c4 = _conv_relu(params, f"{prefix}.b4", pooled)
+    b1, c1 = _conv_relu(params, f"{prefix}.b1", x, training)
+    r2, c2r = _conv_relu(params, f"{prefix}.b2r", x, training)
+    b2, c2 = _conv_relu(params, f"{prefix}.b2", r2, training)
+    r3, c3r = _conv_relu(params, f"{prefix}.b3r", x, training)
+    b3, c3 = _conv_relu(params, f"{prefix}.b3", r3, training)
+    pooled, pool_cache = ops.pool1d(x, BRANCH_POOL_KERNEL, 1, padding="same",
+                                    training=training)
+    b4, c4 = _conv_relu(params, f"{prefix}.b4", pooled, training)
     out = ops.concat_channels([b1, b2, b3, b4])
+    if not training:
+        return out, None
     return out, (c1, c2r, c2, c3r, c3, pool_cache, c4)
 
 
@@ -229,10 +234,15 @@ def inception_backward(params: dict, cache: tuple, grad: np.ndarray,
 
 def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
                   training: bool = False,
-                  rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
+                  rng: Optional[np.random.Generator] = None,
+                  ) -> tuple[np.ndarray, Optional[dict]]:
     """Full forward pass on a (B, C, W) batch; returns (logits, caches).
 
-    Dropout fires only in training mode, drawing its masks from `rng`.
+    Only training mode records what model_backward needs: dropout fires,
+    drawing its masks from `rng`, the pools record their argmax, and
+    every layer's cache is returned. Outside training the caches are
+    None, and each layer's intermediates are freed once the next layer
+    has read its output.
     """
     x = np.asarray(batch)
     if x.ndim != 3:
@@ -243,14 +253,14 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
     if training and spec.dropout > 0 and rng is None:
         raise ConfigError("training-mode forward with dropout needs an rng")
 
-    caches = {"stages": [], "head": []}
+    caches = {"stem": None, "stages": [], "head": []}
     if spec.stem_kernel:
-        x, caches["stem"] = _conv_relu(params, "stem", x)
+        x, caches["stem"] = _conv_relu(params, "stem", x, training)
     for i in range(len(spec.stages)):
-        out, inc_cache = inception_forward(params, x, prefix=f"s{i}")
-        pooled, pool_cache = ops.pool1d(out, POOL_KERNEL, POOL_STRIDE)
-        caches["stages"].append((inc_cache, pool_cache))
-        x = pooled
+        x, inc_cache = inception_forward(params, x, f"s{i}", training)
+        x, pool_cache = ops.pool1d(x, POOL_KERNEL, POOL_STRIDE, training=training)
+        if training:
+            caches["stages"].append((inc_cache, pool_cache))
 
     caches["flat_shape"] = x.shape
     x = x.reshape(x.shape[0], -1)
@@ -258,16 +268,24 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
         pre = ops.dense(x, params[f"fc{j}.weights"], params[f"fc{j}.bias"])
         act = ops.relu(pre)
         dropped, mask = ops.dropout(act, spec.dropout, rng, training)
-        caches["head"].append((x, pre, mask))
+        if training:
+            caches["head"].append((x, pre, mask))
         x = dropped
-    caches["out_in"] = x
     logits = ops.dense(x, params["out.weights"], params["out.bias"])
+    if not training:
+        return logits, None
+    caches["out_in"] = x
     return logits, caches
 
 
-def model_backward(spec: ModelSpec, params: dict, caches: dict,
+def model_backward(spec: ModelSpec, params: dict, caches: Optional[dict],
                    logit_grads: np.ndarray) -> dict:
-    """Gradients for every parameter, keyed and shaped exactly like params."""
+    """Gradients for every parameter, keyed and shaped exactly like params.
+
+    `caches` must come from a training-mode model_forward.
+    """
+    if caches is None:
+        raise ShapeError("model_backward needs the caches of a training-mode model_forward")
     grads = {}
     g, grads["out.weights"], grads["out.bias"] = ops.dense_backward(
         logit_grads, caches["out_in"], params["out.weights"])

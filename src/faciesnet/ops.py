@@ -30,9 +30,14 @@ def _require_batch(x: np.ndarray, op: str) -> np.ndarray:
 
 @dataclass
 class LayerCache:
-    """Saved forward-pass state max-pooling needs for its backward pass."""
+    """Saved forward-pass state max-pooling needs for its backward pass.
 
-    positions: Optional[np.ndarray] = None  # max-pool argmax, padded coords
+    Only a training-mode pool records the argmax: an inference-mode
+    pool leaves `positions` an empty array, and its cache cannot be
+    backpropagated.
+    """
+
+    positions: np.ndarray                   # max-pool argmax, padded coords
     pad_left: int = 0
     in_length: int = 0
     padded_length: int = 0
@@ -109,16 +114,18 @@ def conv1d_backward(grad: np.ndarray, x: np.ndarray,
 # ---------------------------------------------------------------------------
 # pooling
 
-def pool1d(x: np.ndarray, kernel: int, stride: int,
-           padding: str = "valid") -> tuple[np.ndarray, LayerCache]:
+def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
+           training: bool = False) -> tuple[np.ndarray, LayerCache]:
     """Max-pool along the length axis.
 
     "valid" emits a window at every multiple of `stride` that starts
     inside the input, up to ceil((L - kernel)/stride) + 1 windows; a
     trailing window shorter than `kernel` still contributes its max.
     "same" edge-replicates kernel-1 samples so stride 1 preserves the
-    length. The cache records the argmax position of every window in
-    padded coordinates; on ties the first maximum wins, as in argmax.
+    length. In training mode the cache records the argmax position of
+    every window in padded coordinates, for pool1d_backward; on ties the
+    first maximum wins, as in argmax. Outside training no argmax is
+    computed and the cache's positions are empty.
 
     Works by shifted slices: offset j of every window is the strided
     slice xp[..., j::stride], so the pool is `kernel` elementwise steps
@@ -146,15 +153,16 @@ def pool1d(x: np.ndarray, kernel: int, stride: int,
     n_out = -(-min(lp, lp - kernel + stride) // stride)
     span = (n_out - 1) * stride + 1
     vals = xp[:, :, 0:span:stride].copy()
-    offset = np.zeros(vals.shape, dtype=np.min_scalar_type(kernel - 1))
+    if training:
+        offset = np.zeros(vals.shape, dtype=np.min_scalar_type(kernel - 1))
     for j in range(1, kernel):
         shifted = xp[:, :, j:j + span:stride]
         n = shifted.shape[2]
         head = vals[:, :, :n]
-        better = shifted > head  # strict: an equal later sample never wins
+        if training:  # strict >: an equal later sample never wins
+            offset[:, :, :n] = np.where(shifted > head, j, offset[:, :, :n])
         np.maximum(head, shifted, out=head)
-        offset[:, :, :n] = np.where(better, j, offset[:, :, :n])
-    pos = offset + np.arange(n_out) * stride
+    pos = offset + np.arange(n_out) * stride if training else np.empty(0, dtype=np.intp)
 
     cache = LayerCache(positions=pos, pad_left=pad_left, in_length=length,
                        padded_length=lp, kernel=kernel, stride=stride)
@@ -170,6 +178,8 @@ def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
     """
     grad = np.asarray(grad)
     pos = cache.positions
+    if pos.ndim != 3:
+        raise ShapeError("pool1d_backward needs the cache of a training-mode pool1d")
     if grad.shape != pos.shape:
         raise ShapeError(f"upstream grad shape {grad.shape} != pooled shape {pos.shape}")
     b, c, n_out = grad.shape

@@ -13,11 +13,10 @@ import pytest
 
 from faciesnet import evaluation
 from faciesnet.errors import DataFormatError, ShapeError
-from faciesnet.evaluation import (ConfusionMatrix, EvalReport, PredictionSeries,
-                                  accuracy, adjacent_accuracy, confidence_band,
-                                  confusion, evaluate, export_plot_data,
-                                  precision_recall_f1, predict_with_confidence,
-                                  write_metrics_json)
+from faciesnet.evaluation import (ConfusionMatrix, accuracy, adjacent_accuracy,
+                                  confidence_band, confusion, evaluate,
+                                  export_plot_data, precision_recall_f1,
+                                  predict_with_confidence, write_metrics_json)
 from faciesnet.network import Checkpoint, ModelSpec, InceptionSpec, init_params
 from faciesnet.welldata import (CHANNELS, FaciesTable, Standardizer, Well,
                                 default_adjacency)

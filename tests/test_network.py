@@ -237,6 +237,15 @@ class TestModelForward:
                              rng=np.random.default_rng(1))
         assert not np.array_equal(a, b)
 
+    def test_inference_logits_equal_training_logits_at_dropout_0(self):
+        spec = ModelSpec(dropout=0.0)
+        params = init_params(spec, seed=6)
+        x = np.random.default_rng(6).standard_normal((5, 7, 31)).astype(np.float32)
+        inferred, caches = model_forward(spec, params, x)
+        trained, _ = model_forward(spec, params, x, training=True)
+        assert caches is None
+        np.testing.assert_array_equal(inferred.view(np.int32), trained.view(np.int32))
+
     def test_batch_rows_independent(self):
         spec = tiny_spec()
         params = init_params(spec, seed=5)
@@ -252,7 +261,7 @@ class TestModelBackward:
         spec = tiny_spec()
         params = init_params(spec, seed=0, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((2, 7, 9))
-        logits, caches = model_forward(spec, params, x)
+        logits, caches = model_forward(spec, params, x, training=True)
         grads = model_backward(spec, params, caches, np.ones_like(logits))
         assert set(grads) == set(params)
         for name in params:
@@ -262,7 +271,7 @@ class TestModelBackward:
         spec = tiny_spec()
         params = init_params(spec, seed=1, dtype=np.float64)
         x = np.random.default_rng(1).standard_normal((2, 7, 9))
-        logits, caches = model_forward(spec, params, x)
+        logits, caches = model_forward(spec, params, x, training=True)
         grads = model_backward(spec, params, caches, np.zeros_like(logits))
         for g in grads.values():
             assert not g.any()
@@ -271,13 +280,20 @@ class TestModelBackward:
         spec = tiny_spec()
         params = init_params(spec, seed=2, dtype=np.float64)
         x = np.random.default_rng(2).standard_normal((2, 7, 9))
-        logits, caches = model_forward(spec, params, x)
+        logits, caches = model_forward(spec, params, x, training=True)
         g = np.random.default_rng(3).standard_normal(logits.shape)
         once = model_backward(spec, params, caches, g)
         twice = model_backward(spec, params, caches, 2.0 * g)
         for name in once:
             np.testing.assert_allclose(twice[name], 2.0 * once[name],
                                        rtol=1e-12, atol=1e-12)
+
+    def test_inference_caches_rejected(self):
+        spec = tiny_spec()
+        params = init_params(spec, seed=0)
+        logits, caches = model_forward(spec, params, np.zeros((1, 7, 9)))
+        with pytest.raises(ShapeError, match="training-mode"):
+            model_backward(spec, params, caches, np.ones_like(logits))
 
     def test_full_model_gradient_check(self):
         err, worst = network.gradient_check(seed=0)

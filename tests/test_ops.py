@@ -171,6 +171,10 @@ class TestConv1d:
 # ---------------------------------------------------------------------------
 # pool1d
 
+# pool shapes the tie tests run over TestPool1d._tied_input
+TIE_TABLE = [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid"), (2, 3, "valid")]
+
+
 class TestPool1d:
     def test_pairwise_max(self):
         out, _ = ops.pool1d(np.array([[[3.0, 1, 4, 1, 5, 9]]]), kernel=2, stride=2)
@@ -210,7 +214,8 @@ class TestPool1d:
     def test_window_never_starts_past_the_end(self):
         # length 12, kernel 2, stride 3: windows at 0, 3, 6, 9; sample
         # 11 lies in the gap after [9, 10], not in a window at 12
-        out, cache = ops.pool1d(np.arange(12.0)[None, None], kernel=2, stride=3)
+        out, cache = ops.pool1d(np.arange(12.0)[None, None], kernel=2, stride=3,
+                                training=True)
         np.testing.assert_array_equal(out, [[[1, 4, 7, 10]]])
         np.testing.assert_array_equal(cache.positions[0], [[1, 4, 7, 10]])
 
@@ -225,23 +230,37 @@ class TestPool1d:
         return x
 
     @pytest.mark.parametrize("length", [12, 13])
-    @pytest.mark.parametrize("kernel,stride,padding",
-                             [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid"), (2, 3, "valid")])
+    @pytest.mark.parametrize("kernel,stride,padding", TIE_TABLE)
     def test_ties_pick_first_maximum(self, kernel, stride, padding, length):
         x = self._tied_input(length)
-        vals, cache = ops.pool1d(x, kernel, stride, padding)
+        vals, cache = ops.pool1d(x, kernel, stride, padding, training=True)
         want_vals, want_pos = pool1d_loops(x, kernel, stride, padding)
         np.testing.assert_array_equal(vals, want_vals)
         np.testing.assert_array_equal(cache.positions, want_pos)
 
     @pytest.mark.parametrize("length", [12, 13])
-    @pytest.mark.parametrize("kernel,stride,padding",
-                             [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid"), (2, 3, "valid")])
+    @pytest.mark.parametrize("kernel,stride,padding", TIE_TABLE)
+    def test_inference_values_equal_training_values(self, kernel, stride, padding, length):
+        x = self._tied_input(length)
+        trained, _ = ops.pool1d(x, kernel, stride, padding, training=True)
+        inferred, cache = ops.pool1d(x, kernel, stride, padding)
+        assert inferred.dtype == trained.dtype
+        np.testing.assert_array_equal(inferred.view(np.int32), trained.view(np.int32))
+        assert cache.positions.size == 0
+
+    def test_backward_needs_a_training_cache(self):
+        x = self._tied_input(12)
+        out, cache = ops.pool1d(x, 2, 2)
+        with pytest.raises(ShapeError, match="training-mode"):
+            ops.pool1d_backward(np.ones_like(out), cache)
+
+    @pytest.mark.parametrize("length", [12, 13])
+    @pytest.mark.parametrize("kernel,stride,padding", TIE_TABLE)
     def test_backward_bitwise_equals_scatter_add(self, kernel, stride, padding, length):
         # gradients over eight decades, so a different summation order
         # on a sample that several windows chose rounds differently
         x = self._tied_input(length)
-        _, cache = ops.pool1d(x, kernel, stride, padding)
+        _, cache = ops.pool1d(x, kernel, stride, padding, training=True)
         rng = np.random.default_rng(length + kernel)
         up = (rng.normal(size=cache.positions.shape)
               * 10.0 ** rng.uniform(-4, 4, size=cache.positions.shape)).astype(np.float32)
@@ -254,7 +273,7 @@ class TestPool1d:
     def test_gradients_match_finite_differences(self, kernel, stride, padding):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 11))
-        out, cache = ops.pool1d(x, kernel, stride, padding)
+        out, cache = ops.pool1d(x, kernel, stride, padding, training=True)
         up = rng.normal(size=out.shape)
         d_x = ops.pool1d_backward(up, cache)
 

@@ -17,7 +17,7 @@ from faciesnet.synth import SynthConfig, generate_well, generate_wells
 from faciesnet.training import (TrainConfig, compute_class_weights, sgd_step,
                                 train, train_on_windows, _validate)
 from faciesnet.welldata import (apply_standardizer, extract_windows,
-                                fit_standardizer, merge_window_sets)
+                                fit_standardizer)
 
 
 def cross_entropy(logits, facies, class_weights=None):
@@ -176,7 +176,7 @@ class TestSgdStep:
                 logits, _ = model_forward(spec, p, x)
                 return cross_entropy(logits, y)[0]
 
-            logits, caches = model_forward(spec, params, x)
+            logits, caches = model_forward(spec, params, x, training=True)
             before, d_logits = cross_entropy(logits, y)
             grads = model_backward(spec, params, caches, d_logits)
             sgd_step(params, grads, {}, 1e-6, 0.0)
