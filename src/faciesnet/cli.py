@@ -25,8 +25,8 @@ import numpy as np
 from . import network
 from .errors import (ConfigError, DataFormatError, MissingLabelsError,
                      NumericError, ShapeError)
-from .evaluation import (evaluate, export_plot_data, predict_with_confidence,
-                         write_metrics_json)
+from .evaluation import (_csv_cell, evaluate, export_plot_data,
+                         predict_with_confidence, write_metrics_json)
 from .network import Checkpoint, InceptionSpec, ModelSpec
 from .synth import SynthConfig, generate_wells
 from .training import TrainConfig, train
@@ -277,17 +277,17 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     path = out / "predictions.csv"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["well", "depth", "facies"]
-                        + [f"p{f}" for f in range(1, N_FACIES + 1)]
-                        + ["confidence", "band"])
-        for s in series:
+        csv.writer(fh).writerow(["well", "depth", "facies"]
+                                + [f"p{f}" for f in range(1, N_FACIES + 1)]
+                                + ["confidence", "band"])
+        for s in series:  # f-strings, as export_plot_data writes its rows
+            name = _csv_cell(s.well_name)
             rows = zip(s.depth.tolist(), s.facies.tolist(), s.probs.tolist(),
                        s.confidence.tolist(), s.bands)
-            for depth, facies, probs, confidence, band in rows:
-                writer.writerow([s.well_name, repr(depth), facies]
-                                + [repr(p) for p in probs]
-                                + [repr(confidence), band])
+            fh.writelines(
+                f"{name},{depth!r},{facies},{repr(probs)[1:-1].replace(', ', ',')},"
+                f"{confidence!r},{band}\r\n"
+                for depth, facies, probs, confidence, band in rows)
     total = sum(len(s) for s in series)
     print(f"wrote {total} predictions for {len(series)} wells to {path}")
     return 0

@@ -7,6 +7,7 @@ results are reproducible to the last bit.
 """
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from . import ops
 from .errors import DataFormatError, NumericError, ShapeError
 from .network import INFERENCE_BATCH, Checkpoint, model_forward
 from .welldata import (FACIES_CODES, N_FACIES, FaciesTable, Well,
-                       apply_standardizer, window_matrix)
+                       _window_view, apply_standardizer)
 
 CONFIDENCE_HIGH = 0.7
 CONFIDENCE_LOW = 0.5
@@ -215,19 +216,23 @@ def confidence_band(confidence: float) -> str:
 
 def predict_with_confidence(model: Checkpoint, well: Well) -> PredictionSeries:
     """One prediction per depth sample via centered windows, run through
-    the model in chunks of INFERENCE_BATCH windows.
+    the model in chunks of INFERENCE_BATCH windows; each chunk is copied
+    out of a view of the padded logs, so no whole-well window matrix is
+    built.
 
     Confidence is the winning softmax probability, annotated with the
     high (>= 0.7) / medium / low (< 0.5) band. A forward pass that
     overflows float range, or makes a NaN from an infinity, raises
     NumericError naming the well, as non-finite logits do; numpy's
-    floating-point warnings are raised there rather than printed.
+    floating-point warnings are raised there rather than printed. A
+    standardized log value float32 cannot hold raises DataFormatError
+    naming the well, the channel and the depth.
     """
     scaled = apply_standardizer(model.standardizer, well)
-    windows = window_matrix(scaled, model.spec.window)
+    windows = _window_view(scaled, model.spec.window)
     probs = np.empty((len(windows), N_FACIES))
     for start in range(0, len(windows), INFERENCE_BATCH):
-        chunk = windows[start:start + INFERENCE_BATCH]
+        chunk = np.ascontiguousarray(windows[start:start + INFERENCE_BATCH])
         try:
             with np.errstate(over="raise", invalid="raise"):
                 logits, _ = model_forward(model.spec, model.params, chunk)
@@ -244,6 +249,18 @@ def predict_with_confidence(model: Checkpoint, well: Well) -> PredictionSeries:
 
 # ---------------------------------------------------------------------------
 # export
+#
+# The per-depth CSVs hold one row per sample, so their rows are
+# f-strings rather than csv.writer rows. Every cell but the well name is
+# a number or a band and never needs quoting; the name is quoted by csv
+# once per well, and lines end in csv's "\r\n".
+
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it as one cell of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[:-len(",\r\n")]
+
 
 def export_plot_data(report: EvalReport, series: list, out_dir) -> list:
     """Write plot-ready CSVs; returns the paths written.
@@ -259,15 +276,15 @@ def export_plot_data(report: EvalReport, series: list, out_dir) -> list:
 
     column_path = out / "facies_column.csv"
     with open(column_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["well", "depth", "predicted", "true", "confidence", "band"])
+        csv.writer(fh).writerow(["well", "depth", "predicted", "true", "confidence",
+                                 "band"])
         for s in series:
+            name = _csv_cell(s.well_name)
             true = [""] * len(s) if s.true_labels is None else s.true_labels.tolist()
             rows = zip(s.depth.tolist(), s.facies.tolist(), true,
                        s.confidence.tolist(), s.bands)
-            for depth, facies, label, confidence, band in rows:
-                writer.writerow([s.well_name, repr(depth), facies, label,
-                                 repr(confidence), band])
+            fh.writelines(f"{name},{depth!r},{facies},{label},{confidence!r},{band}\r\n"
+                          for depth, facies, label, confidence, band in rows)
     paths.append(column_path)
 
     confusion_path = out / "confusion.csv"

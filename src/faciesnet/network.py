@@ -199,14 +199,19 @@ def inception_forward(params: dict, x: np.ndarray, prefix: str = "s0",
     the `{prefix}.*` parameters. The branch caches are returned in
     training mode only; outside it the cache is None.
     """
+    # each reduction and the pooled input are dropped once read, so an
+    # inference pass holds no more than the branch outputs at the concat
     b1, c1 = _conv_relu(params, f"{prefix}.b1", x, training)
     r2, c2r = _conv_relu(params, f"{prefix}.b2r", x, training)
     b2, c2 = _conv_relu(params, f"{prefix}.b2", r2, training)
+    del r2
     r3, c3r = _conv_relu(params, f"{prefix}.b3r", x, training)
     b3, c3 = _conv_relu(params, f"{prefix}.b3", r3, training)
+    del r3
     pooled, pool_cache = ops.pool1d(x, BRANCH_POOL_KERNEL, 1, padding="same",
                                     training=training)
     b4, c4 = _conv_relu(params, f"{prefix}.b4", pooled, training)
+    del pooled
     out = ops.concat_channels([b1, b2, b3, b4])
     if not training:
         return out, None

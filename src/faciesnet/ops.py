@@ -6,7 +6,9 @@ float64 for gradient checks. Log windows travel in batches laid out
 channels-first, (batch, channels, length); the convolution and pooling
 ops accept no other rank, and the dense head and the loss take
 (batch, features). Convolutions are same-padded, so they keep the
-length.
+length. Each one is a single matmul over an im2col matrix that `K`
+slice copies of the input fill, with zeros where a window reaches past
+either end; the backward pass builds the same matrix.
 
 All functions are pure: state a backward pass needs is returned
 explicitly as a cache, never stored on a module or instance.
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError, ShapeError
 
@@ -53,8 +54,9 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
     out[b, o, t] = sum_c sum_k x[b, c, t + k - (K-1)/2] * kernels[o, c, k] + bias[o]
 
-    Zero-pads (K-1)/2 samples each side, so the length is preserved.
-    K must be odd.
+    Samples beyond either end count as zeros, so the length is preserved.
+    K must be odd. One matmul of the (B*L, C*K) im2col matrix, which
+    `_im2col` fills with K slice copies, with the (O, C*K) kernels.
     """
     x = _require_batch(x, "conv1d")
     kernels = np.asarray(kernels)
@@ -69,20 +71,31 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if bias.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {bias.shape}")
 
+    b, _, length = x.shape
+    out = _im2col(x, k) @ kernels.reshape(n_out, n_in * k).T   # (B*L, O)
+    return out.reshape(b, length, n_out).transpose(0, 2, 1) + bias[:, None]
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The (B*L, C*K) matrix whose row b*L + t holds, channel by channel,
+    the K samples x[b, c, t - (K-1)/2 : t + (K+1)/2], zero past the ends.
+
+    x is copied once into (B, L, C) order; column j of every channel is
+    then one slice copy of it, shifted by j - (K-1)/2, into a zeroed
+    (B, L, C, K) array. For K = 1 that copy is the matrix.
+    """
+    b, c, length = x.shape
+    xt = np.ascontiguousarray(x.transpose(0, 2, 1))
+    if k == 1:
+        return xt.reshape(b * length, c)
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    return _correlate(xp, kernels) + bias[:, None]
-
-
-def _correlate(xp: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Valid-mode stride-1 correlation of (B, C, Lp) with (O, C, K) -> (B, O, Lo)."""
-    b, c, lp = xp.shape
-    n_out, _, k = kernels.shape
-    lo = lp - k + 1
-    col = sliding_window_view(xp, k, axis=2)          # (B, C, Lo, K) view
-    col = col.transpose(0, 2, 1, 3).reshape(b * lo, c * k)
-    out = col @ kernels.reshape(n_out, c * k).T       # (B*Lo, O)
-    return out.reshape(b, lo, n_out).transpose(0, 2, 1)
+    col = np.zeros((b, length, c, k), dtype=x.dtype)
+    for j in range(k):
+        shift = j - pad
+        lo, hi = max(0, -shift), min(length, length - shift)
+        if lo < hi:  # else every window's sample j lies past an end
+            col[:, lo:hi, :, j] = xt[:, lo + shift:hi + shift]
+    return col.reshape(b * length, c * k)
 
 
 def conv1d_backward(grad: np.ndarray, x: np.ndarray,
@@ -92,22 +105,19 @@ def conv1d_backward(grad: np.ndarray, x: np.ndarray,
     grad = np.asarray(grad)
     n_out, n_in, k = kernels.shape
     pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    b, _, lp = xp.shape
-    lo = lp - k + 1
+    b, _, lo = x.shape
     if grad.shape != (b, n_out, lo):
         raise ShapeError(f"upstream grad shape {grad.shape} != forward output {(b, n_out, lo)}")
 
     g2 = grad.transpose(0, 2, 1).reshape(b * lo, n_out)
     d_bias = g2.sum(axis=0)
-    col = sliding_window_view(xp, k, axis=2).transpose(0, 2, 1, 3).reshape(b * lo, n_in * k)
-    d_kernels = (g2.T @ col).reshape(n_out, n_in, k)
+    d_kernels = (g2.T @ _im2col(x, k)).reshape(n_out, n_in, k)
 
     d_col = (g2 @ kernels.reshape(n_out, n_in * k)).reshape(b, lo, n_in, k)
-    d_xp = np.zeros_like(xp)
+    d_xp = np.zeros((b, n_in, lo + 2 * pad), dtype=x.dtype)
     for j in range(k):
         d_xp[:, :, j:j + lo] += d_col[:, :, :, j].transpose(0, 2, 1)
-    d_x = d_xp[:, :, pad:pad + x.shape[2]] if pad else d_xp
+    d_x = d_xp[:, :, pad:pad + lo] if pad else d_xp
     return d_x, d_kernels, d_bias
 
 
@@ -139,8 +149,10 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
     length = x.shape[2]
     if padding == "same":
         pad_left = (kernel - 1) // 2
-        pad_right = kernel - 1 - pad_left
-        xp = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)), mode="edge")
+        xp = np.empty(x.shape[:2] + (length + kernel - 1,), dtype=x.dtype)
+        xp[:, :, pad_left:pad_left + length] = x
+        xp[:, :, :pad_left] = x[:, :, :1]
+        xp[:, :, pad_left + length:] = x[:, :, -1:]
     elif padding == "valid":
         if length < kernel:
             raise ShapeError(f"input length {length} shorter than pool kernel {kernel}")

@@ -17,6 +17,12 @@ N_FACIES = 9
 FACIES_CODES = ("SS", "CSiS", "FSiS", "SiSh", "MS", "WS", "D", "PS", "BS")
 
 _REQUIRED_COLUMNS = ("Well Name", "Depth") + CHANNELS
+# the numeric fields of a row, in the order their cells are checked
+_NUMERIC_FIELDS = ("Depth",) + CHANNELS + ("Facies",)
+# the largest log value a window can hold
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+# rows converted at once: bounds the parser's memory at any file length
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -119,21 +125,18 @@ class Well:
         return np.stack([self.channels[c] for c in CHANNELS])
 
 
-def _utf8_lines(fh, path):
-    """Lines of a file opened as UTF-8 text; the first byte that is not
-    UTF-8 raises DataFormatError naming its row."""
+def _utf8_error(path) -> DataFormatError:
+    """The error for a file that does not decode as UTF-8, naming the row
+    of its first bad byte (the text layer decodes in chunks, so the
+    byte is found in the raw file)."""
+    with open(path, "rb") as raw:
+        data = raw.read()
     try:
-        yield from fh
-    except UnicodeDecodeError:
-        # the text layer decodes in chunks, so find the byte in the raw file
-        with open(path, "rb") as raw:
-            data = raw.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            row_no = data.count(b"\n", 0, exc.start) + 1
-            raise DataFormatError(f"{path}: row {row_no}: not UTF-8 text")
-        raise
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row_no = data.count(b"\n", 0, exc.start) + 1
+        return DataFormatError(f"{path}: row {row_no}: not UTF-8 text")
+    return DataFormatError(f"{path}: not UTF-8 text")
 
 
 def parse_csv(path, allow_missing_pe: bool = False) -> list:
@@ -142,14 +145,58 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
     Header: Facies,Formation,Well Name,Depth,GR,ILD_log10,DeltaPHI,PHIND,
     PE,NM_M,RELPOS. Facies and Formation are optional. Rows are grouped
     by well name and depth-sorted; empty and `nan` numeric cells become
-    NaN gaps (in Facies, unlabeled samples). Non-UTF-8 bytes, a row
-    shorter than the header, an infinite value, a Facies cell that is
-    not an integer facies id 1..9, a depth repeated within a well and a
-    file without data rows raise DataFormatError naming the file and
-    the row (both rows for a repeated depth).
+    NaN gaps (in Facies, unlabeled samples). A numeric cell is any text
+    `float()` reads. Non-UTF-8 bytes, a row shorter than the header, an
+    infinite value, a log value outside the float32 range, a Facies cell
+    that is not an integer facies id 1..9, a depth repeated within a
+    well and a file without data rows raise DataFormatError naming the
+    file and the row (both rows for a repeated depth).
+
+    Cells are converted a block of rows and a column at a time; a block
+    holding any cell the column checks reject is read again cell by
+    cell, which raises on the first bad cell in file order.
     """
+    try:
+        well_ids, of_row, row_nos, values, formations = _read_rows(path, allow_missing_pe)
+    except UnicodeDecodeError:
+        raise _utf8_error(path)
+
+    # rows of each well in file order, wells in order of first appearance
+    by_well = np.split(np.argsort(of_row, kind="stable"),
+                       np.cumsum(np.bincount(of_row))[:-1])
+    wells = []
+    for name, members in zip(well_ids, by_well):
+        order = members[np.argsort(values[0, members], kind="stable")]
+        depth = values[0, order]
+        repeats = np.flatnonzero(np.diff(depth) == 0)
+        if repeats.size:
+            i = repeats[0]
+            first, second = row_nos[order[i]], row_nos[order[i + 1]]
+            raise DataFormatError(f"{path}: rows {first} and {second}: well {name}: "
+                                  f"depth {float(depth[i])!r} repeated, so depth is not "
+                                  f"strictly increasing")
+        channels = {c: values[1 + k, order] for k, c in enumerate(CHANNELS)}
+
+        facies = values[-1, order]
+        unlabeled = np.isnan(facies)
+        if unlabeled.all():
+            labels = None
+        elif unlabeled.any():
+            raise DataFormatError(f"{path}: well {name}: partially labeled (some Facies "
+                                  f"cells empty)")
+        else:
+            labels = facies.astype(np.int64)
+        formation = None if formations is None else [formations[i] for i in order]
+        wells.append(Well(name, depth, channels, labels, formation))
+    return wells
+
+
+def _read_rows(path, allow_missing_pe):
+    """Every data row of the file: ({well name: index} in order of first
+    appearance, each row's well index, row numbers, the
+    (len(_NUMERIC_FIELDS), n_rows) values, Formation cells or None)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -163,81 +210,115 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
             if name == "PE" and allow_missing_pe:
                 continue
             raise DataFormatError(f"{path}: missing required column {name!r}")
-        has_formation = "Formation" in col
+        formations = [] if "Formation" in col else None
 
-        rows = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise DataFormatError(f"{path}: row {row_no}: {len(row)} cells for "
-                                      f"{len(header)} header columns")
-            well_name = row[col["Well Name"]].strip()
-            rec = rows.get(well_name)
-            if rec is None:
-                rec = rows[well_name] = {"row": [], "depth": [], "facies": [],
-                                         "formation": [], **{c: [] for c in CHANNELS}}
-
-            def cell(name):
-                idx = col.get(name)
-                return row[idx].strip() if idx is not None else ""
-
-            def numeric(name, text):
-                if text == "":
-                    return np.nan
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise DataFormatError(f"{path}: row {row_no}: non-numeric "
-                                          f"{name} value {text!r}")
-                if math.isinf(value):
-                    raise DataFormatError(f"{path}: row {row_no}: well {well_name}: "
-                                          f"{name} value {text!r} is not finite")
-                return value
-
-            depth = numeric("Depth", cell("Depth"))
-            if math.isnan(depth):
-                raise DataFormatError(f"{path}: row {row_no}: missing Depth")
-            rec["row"].append(row_no)
-            rec["depth"].append(depth)
-            for c in CHANNELS:
-                rec[c].append(numeric(c, cell(c)))
-            facies = numeric("Facies", cell("Facies"))
-            if not (math.isnan(facies) or (facies.is_integer()
-                                           and 1 <= facies <= N_FACIES)):
-                raise DataFormatError(f"{path}: row {row_no}: well {well_name}: Facies "
-                                      f"{cell('Facies')!r} is not a facies id "
-                                      f"1..{N_FACIES}")
-            rec["facies"].append(facies)
-            rec["formation"].append(cell("Formation") if has_formation else "")
-        if not rows:
+        well_ids, of_row, row_nos, blocks = {}, [], [], []
+        for block_nos, rows in _row_blocks(reader):
+            values = _convert_columns(col, len(header), rows)
+            if values is None:
+                values = np.array([_parse_row(path, col, len(header), row_no, row)
+                                   for row_no, row in zip(block_nos, rows)]).T
+            blocks.append(values)
+            row_nos += block_nos
+            of_row += [well_ids.setdefault(row[col["Well Name"]].strip(), len(well_ids))
+                       for row in rows]
+            if formations is not None:
+                formations += [row[col["Formation"]].strip() for row in rows]
+        if not blocks:
             raise DataFormatError(f"{path}: no data rows")
+    return well_ids, np.array(of_row), row_nos, np.concatenate(blocks, axis=1), formations
 
-    wells = []
-    for name, rec in rows.items():
-        order = np.argsort(np.array(rec["depth"]), kind="stable")
-        depth = np.array(rec["depth"])[order]
-        repeats = np.flatnonzero(np.diff(depth) == 0)
-        if repeats.size:
-            i = repeats[0]
-            first, second = rec["row"][order[i]], rec["row"][order[i + 1]]
-            raise DataFormatError(f"{path}: rows {first} and {second}: well {name}: "
-                                  f"depth {float(depth[i])!r} repeated, so depth is not "
-                                  f"strictly increasing")
-        channels = {c: np.array(rec[c])[order] for c in CHANNELS}
 
-        facies = np.array(rec["facies"])[order]
-        unlabeled = np.isnan(facies)
-        if unlabeled.all():
-            labels = None
-        elif unlabeled.any():
-            raise DataFormatError(f"{path}: well {name}: partially labeled (some Facies "
-                                  f"cells empty)")
-        else:
-            labels = facies.astype(np.int64)
-        formation = [rec["formation"][i] for i in order] if has_formation else None
-        wells.append(Well(name, depth, channels, labels, formation))
-    return wells
+def _row_blocks(reader):
+    """(row numbers, rows) of the non-blank rows, in blocks of at most
+    _BLOCK_ROWS. A decoding error is raised after the block of the rows
+    read before it, so a fault in one of those is reported first."""
+    row_nos, rows = [], []
+    try:
+        for row_no, row in enumerate(reader, start=2):
+            if "".join(row).strip():
+                row_nos.append(row_no)
+                rows.append(row)
+                if len(rows) == _BLOCK_ROWS:
+                    yield row_nos, rows
+                    row_nos, rows = [], []
+    except UnicodeDecodeError:
+        if rows:
+            yield row_nos, rows
+        raise
+    if rows:
+        yield row_nos, rows
+
+
+def _convert_columns(col, width, rows):
+    """The (len(_NUMERIC_FIELDS), len(rows)) float64 values of a block,
+    or None when a row is short or a cell fails a check.
+
+    numpy converts a str with float(), so a column converts exactly as
+    _parse_row's cells do; an empty cell is a gap.
+    """
+    if min(map(len, rows)) < width:
+        return None
+    cells = list(zip(*rows))
+    values = np.full((len(_NUMERIC_FIELDS), len(rows)), np.nan)
+    for i, name in enumerate(_NUMERIC_FIELDS):
+        if name not in col:
+            continue
+        texts = cells[col[name]]
+        if "" in texts:
+            texts = [text or "nan" for text in texts]
+        try:
+            values[i] = np.array(texts, dtype=np.float64)
+        except ValueError:
+            return None
+    facies = values[-1]
+    facies_ok = np.isnan(facies) | ((facies == np.floor(facies))
+                                    & (facies >= 1) & (facies <= N_FACIES))
+    if (np.isinf(values).any() or np.isnan(values[0]).any()
+            or (np.abs(values[1:-1]) > FLOAT32_MAX).any() or not facies_ok.all()):
+        return None
+    return values
+
+
+def _parse_row(path, col, width, row_no, row) -> tuple:
+    """The numeric fields of one row, checked cell by cell; raises
+    DataFormatError naming the row at its first bad cell."""
+    if len(row) < width:
+        raise DataFormatError(f"{path}: row {row_no}: {len(row)} cells for "
+                              f"{width} header columns")
+    well_name = row[col["Well Name"]].strip()
+
+    def cell(name):
+        idx = col.get(name)
+        return row[idx].strip() if idx is not None else ""
+
+    def numeric(name):
+        text = cell(name)
+        if text == "":
+            return np.nan
+        try:
+            value = float(text)
+        except ValueError:
+            raise DataFormatError(f"{path}: row {row_no}: non-numeric "
+                                  f"{name} value {text!r}")
+        if math.isinf(value):
+            raise DataFormatError(f"{path}: row {row_no}: well {well_name}: "
+                                  f"{name} value {text!r} is not finite")
+        if name in CHANNELS and abs(value) > FLOAT32_MAX:
+            raise DataFormatError(f"{path}: row {row_no}: well {well_name}: "
+                                  f"{name} value {text!r} is outside the float32 "
+                                  f"range")
+        return value
+
+    depth = numeric("Depth")
+    if math.isnan(depth):
+        raise DataFormatError(f"{path}: row {row_no}: missing Depth")
+    logs = [numeric(c) for c in CHANNELS]
+    facies = numeric("Facies")
+    if not (math.isnan(facies) or (facies.is_integer() and 1 <= facies <= N_FACIES)):
+        raise DataFormatError(f"{path}: row {row_no}: well {well_name}: Facies "
+                              f"{cell('Facies')!r} is not a facies id 1..{N_FACIES}")
+    return (depth, *logs, facies)
 
 
 def write_csv(wells: list, path) -> None:
@@ -295,8 +376,11 @@ def apply_standardizer(standardizer: Standardizer, well: Well) -> Well:
     for c in well.channels:
         if c not in standardizer.mean:
             raise ShapeError(f"standardizer has no statistics for channel {c!r}")
-    channels = {c: (well.channels[c] - standardizer.mean[c]) / standardizer.std[c]
-                for c in well.channels}
+    # a value too large for float64 becomes inf, which cutting windows
+    # reports by well, channel and depth
+    with np.errstate(over="ignore"):
+        channels = {c: (well.channels[c] - standardizer.mean[c]) / standardizer.std[c]
+                    for c in well.channels}
     return Well(well.name, well.depth.copy(), channels,
                 None if well.labels is None else well.labels.copy(),
                 list(well.formation) if well.formation else None)
@@ -332,6 +416,16 @@ def window_matrix(well: Well, width: int) -> np.ndarray:
     Boundary windows replicate the well's edge samples, so no window
     ever borrows data from another well.
     """
+    return np.ascontiguousarray(_window_view(well, width))
+
+
+def _window_view(well: Well, width: int) -> np.ndarray:
+    """window_matrix's windows as an (n_samples, 7, width) view of the
+    edge-padded float32 logs, so a caller can copy out a few at a time.
+
+    Raises DataFormatError for gaps, and for a value float32 cannot
+    hold, naming the well, the channel and the depth.
+    """
     if width < 1 or width % 2 == 0:
         raise ConfigError(f"window length must be odd and >= 1, got {width}")
     logs = well.channel_matrix()
@@ -339,11 +433,20 @@ def window_matrix(well: Well, width: int) -> np.ndarray:
         bad = [c for c in CHANNELS if np.any(np.isnan(well.channels[c]))]
         raise DataFormatError(f"well {well.name}: gaps remain in {bad}; "
                               f"impute before windowing")
-    half = width // 2
-    padded = np.pad(logs, ((0, 0), (half, half)), mode="edge")
+    too_large = np.abs(logs) > FLOAT32_MAX
+    if too_large.any():
+        k, i = np.argwhere(too_large)[0]
+        raise DataFormatError(f"well {well.name}: {CHANNELS[k]} at depth "
+                              f"{float(well.depth[i])!r} is {float(logs[k, i])!r} "
+                              f"after standardization, outside the float32 range")
+    half, n = width // 2, logs.shape[1]
+    padded = np.empty((len(CHANNELS), n + 2 * half), dtype=np.float32)
+    padded[:, half:half + n] = logs
+    padded[:, :half] = logs[:, :1]
+    padded[:, half + n:] = logs[:, -1:]
     # sliding view (7, n, width) -> one window per original sample
     view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
-    return np.ascontiguousarray(view.transpose(1, 0, 2), dtype=np.float32)
+    return view.transpose(1, 0, 2)
 
 
 def extract_windows(well: Well, width: int) -> WindowSet:

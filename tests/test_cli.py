@@ -2,6 +2,7 @@
 production, idempotence, exit codes, config handling, fault injection."""
 
 import csv
+import dataclasses
 import json
 import re
 import warnings
@@ -10,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from faciesnet import ops
+from faciesnet import cli, ops
 from faciesnet.cli import CASTS, SECTIONS, load_config, main
 from faciesnet.errors import ConfigError
 from faciesnet.network import Checkpoint, InceptionSpec, ModelSpec
@@ -270,6 +271,36 @@ class TestPredictCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 120
         assert {row[0] for row in rows[1:]} == {"SYNTH032"}
+
+    def test_predictions_csv_bytes_match_csv_writer(self, tmp_path, data_csv, small_cfg,
+                                                   monkeypatch):
+        # well names csv must quote, or must leave alone; the rows are f-strings
+        _, out_dir = run_train(tmp_path, data_csv, small_cfg)
+        names = iter(["A,B", 'say "hi"', " lead"])
+        predict = cli.predict_with_confidence
+        series = []
+
+        def renamed(model, well):
+            series.append(dataclasses.replace(predict(model, well), well_name=next(names)))
+            return series[-1]
+
+        monkeypatch.setattr(cli, "predict_with_confidence", renamed)
+        assert main(["predict", str(out_dir / "model.fnet"), str(data_csv),
+                     "--out", str(tmp_path / "pred")]) == 0
+
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["well", "depth", "facies"]
+                            + [f"p{f}" for f in range(1, 10)] + ["confidence", "band"])
+            for s in series:
+                for depth, facies, probs, confidence, band in zip(
+                        s.depth.tolist(), s.facies.tolist(), s.probs.tolist(),
+                        s.confidence.tolist(), s.bands):
+                    writer.writerow([s.well_name, repr(depth), facies]
+                                    + [repr(p) for p in probs] + [repr(confidence), band])
+        assert len(series) == 3
+        assert ((tmp_path / "pred" / "predictions.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
 
     def test_unknown_blind_well_exit_2(self, tmp_path, data_csv, small_cfg):
         _, out_dir = run_train(tmp_path, data_csv, small_cfg)
@@ -538,6 +569,16 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
      ("configuration error", "seed")),
     ("synth-seed-flag-negative", SYNTH + ("--seed", "-1"), None, None, 2,
      ("configuration error", "seed")),
+    # a log value float32 cannot hold, as ROADMAP item 6 reproduced it: train
+    # once fitted an infinite std from it, predict printed numpy warnings
+    ("csv-log-1e300-train", TRAIN, "data", _first_row_cell(4, b"1e300"), 3,
+     ("{bad}", "row 2", "SYNTH040", "GR value '1e300' is outside the float32 range")),
+    ("csv-log-1e300-predict", PREDICT, "data", _first_row_cell(4, b"1e300"), 3,
+     ("{bad}", "row 2", "SYNTH040", "GR value '1e300' is outside the float32 range")),
+    # a tiny checkpoint std scales ordinary logs past float32
+    ("ckpt-std-tiny", PREDICT, "checkpoint",
+     _manifest_line(b"std.GR = ", b"std.GR = 0.0 1e-300"), 3,
+     ("data/model mismatch", "well SYNTH040: GR at depth", "outside the float32 range")),
     ("ckpt-overflows", PREDICT, "checkpoint", _scale_params(1e18), 3,
      ("numeric failure", "SYNTH040")),
     ("ckpt-overflows-evaluate", EVALUATE, "checkpoint", _scale_params(1e18), 3,

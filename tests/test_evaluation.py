@@ -7,6 +7,8 @@ because both sides divide and sum the same integers the same way.
 """
 
 import csv
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +19,10 @@ from faciesnet.evaluation import (ConfusionMatrix, accuracy, adjacent_accuracy,
                                   confidence_band, confusion, evaluate,
                                   export_plot_data, precision_recall_f1,
                                   predict_with_confidence, write_metrics_json)
-from faciesnet.network import Checkpoint, ModelSpec, InceptionSpec, init_params
+from faciesnet.network import (INFERENCE_BATCH, Checkpoint, ModelSpec, InceptionSpec,
+                               init_params, model_forward)
 from faciesnet.welldata import (CHANNELS, FaciesTable, Standardizer, Well,
-                                default_adjacency)
+                                apply_standardizer, default_adjacency, window_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +266,37 @@ class TestPredictWithConfidence:
         series = predict_with_confidence(tiny_checkpoint(), labeled_well(30, seed=5))
         assert series.bands == [confidence_band(c) for c in series.confidence]
 
+    def test_chunks_cut_from_the_view_equal_the_window_matrix(self):
+        # one chunk boundary inside the well: each chunk of windows is
+        # copied out on its own, as the same bits the whole matrix holds
+        model = tiny_checkpoint()
+        well = labeled_well(INFERENCE_BATCH + 37, seed=7)
+        windows = window_matrix(apply_standardizer(model.standardizer, well),
+                                model.spec.window)
+        expected = np.concatenate([
+            evaluation.ops.softmax(model_forward(model.spec, model.params,
+                                                 windows[i:i + INFERENCE_BATCH])[0]
+                                   .astype(np.float64))
+            for i in range(0, len(windows), INFERENCE_BATCH)])
+        series = predict_with_confidence(model, well)
+        assert series.probs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("std", [1e-300, 1e-310], ids=["past-float32", "past-float64"])
+    def test_standardized_value_outside_float32_names_well_channel_depth(self, std):
+        # a checkpoint std this small scales ordinary logs past float32
+        # (1e-310 past float64 too); either is an error, not a warning
+        model = tiny_checkpoint()
+        model.standardizer.std["PHIND"] = std
+        well = labeled_well(20, seed=8, name="DEEP")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError) as info:
+                predict_with_confidence(model, well)
+        message = str(info.value)
+        assert "well DEEP" in message and "PHIND" in message
+        assert f"depth {float(well.depth[0])!r}" in message
+        assert "float32" in message
+
     def test_standardizer_channel_mismatch_rejected(self):
         model = tiny_checkpoint()
         model.standardizer = Standardizer({"NOT_A_LOG": 0.0}, {"NOT_A_LOG": 1.0})
@@ -299,6 +333,31 @@ class TestExport:
                                                  for f in range(1, 10)]
         # a checkpoint records no training counts
         assert [int(r[2]) for r in rows[1:]] == [0] * 9
+
+    def test_facies_column_bytes_match_csv_writer(self, tmp_path):
+        # names csv must quote, or must leave alone; the rows are f-strings
+        names = ["A,B", 'say "hi"', " lead", "", "plain"]
+        series = [dataclasses.replace(
+                      predict_with_confidence(tiny_checkpoint(), labeled_well(6, seed=i)),
+                      well_name=name)
+                  for i, name in enumerate(names)]
+        series[-1].true_labels = None
+        rng = np.random.default_rng(10)
+        export_plot_data(evaluate(random_labels(rng, 30), random_labels(rng, 30)),
+                         series, tmp_path)
+
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["well", "depth", "predicted", "true", "confidence", "band"])
+            for s in series:
+                true = [""] * len(s) if s.true_labels is None else s.true_labels.tolist()
+                for depth, facies, label, confidence, band in zip(
+                        s.depth.tolist(), s.facies.tolist(), true,
+                        s.confidence.tolist(), s.bands):
+                    writer.writerow([s.well_name, repr(depth), facies, label,
+                                     repr(confidence), band])
+        assert ((tmp_path / "facies_column.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
 
     def test_metrics_json_mirrors_report(self, tmp_path):
         import json

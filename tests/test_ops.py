@@ -3,9 +3,11 @@ finite-difference gradient checks for every layer type."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from faciesnet import ops
 from faciesnet.errors import ConfigError, NumericError, ShapeError
+from faciesnet.network import ModelSpec, param_shapes, pooled_length
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,74 @@ class TestConv1d:
             lambda v: float((ops.conv1d(x, v, bias) * up).sum()), kernels.copy())) < 1e-4
         assert rel_err(d_b, numeric_grad(
             lambda v: float((ops.conv1d(x, kernels, v) * up).sum()), bias.copy())) < 1e-4
+
+
+# the padded-copy im2col conv1d and conv1d_backward were built on; the
+# slice-copy im2col must give the same bits
+
+def conv1d_padded_oracle(x, kernels, bias):
+    n_out, c, k = kernels.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    b, _, lp = xp.shape
+    lo = lp - k + 1
+    col = sliding_window_view(xp, k, axis=2).transpose(0, 2, 1, 3).reshape(b * lo, c * k)
+    out = col @ kernels.reshape(n_out, c * k).T
+    return out.reshape(b, lo, n_out).transpose(0, 2, 1) + bias[:, None]
+
+
+def conv1d_backward_padded_oracle(grad, x, kernels):
+    n_out, n_in, k = kernels.shape
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    b, _, lp = xp.shape
+    lo = lp - k + 1
+    g2 = grad.transpose(0, 2, 1).reshape(b * lo, n_out)
+    col = sliding_window_view(xp, k, axis=2).transpose(0, 2, 1, 3).reshape(b * lo, n_in * k)
+    d_kernels = (g2.T @ col).reshape(n_out, n_in, k)
+    d_col = (g2 @ kernels.reshape(n_out, n_in * k)).reshape(b, lo, n_in, k)
+    d_xp = np.zeros_like(xp)
+    for j in range(k):
+        d_xp[:, :, j:j + lo] += d_col[:, :, :, j].transpose(0, 2, 1)
+    return d_xp[:, :, pad:pad + x.shape[2]], d_kernels, g2.sum(axis=0)
+
+
+def _default_conv_layers():
+    """(layer id, kernel shape, input length) of the default model's seven
+    distinct conv layers: the stem and each stage's b1, b2 and b3."""
+    spec = ModelSpec()
+    shapes = param_shapes(spec)
+    lengths = {"stem": spec.window, "s0": spec.window, "s1": pooled_length(spec.window)}
+    return [(name, shapes[f"{name}.kernels"], lengths[name.split(".")[0]])
+            for name in ("stem", "s0.b1", "s0.b2", "s0.b3", "s1.b1", "s1.b2", "s1.b3")]
+
+
+# the default layers at batch 64 in float32, then float64 at every kernel
+# length, down to inputs shorter than the kernel
+BIT_EXACT_CASES = [(name, 64, shape, length, np.float32)
+                   for name, shape, length in _default_conv_layers()] + [
+    (f"f64-k{k}-L{length}", 3, (4, 5, k), length, np.float64)
+    for k in (1, 3, 5, 7) for length in (1, 2, 13)]
+
+
+@pytest.mark.parametrize("batch, shape, length, dtype", [c[1:] for c in BIT_EXACT_CASES],
+                         ids=[c[0] for c in BIT_EXACT_CASES])
+def test_conv_bitwise_equals_padded_oracle(batch, shape, length, dtype):
+    rng = np.random.default_rng(length)
+    n_out, n_in, _ = shape
+    x = rng.normal(size=(batch, n_in, length)).astype(dtype)
+    kernels = rng.normal(size=shape).astype(dtype)
+    bias = rng.normal(size=n_out).astype(dtype)
+    grad = rng.normal(size=(batch, n_out, length)).astype(dtype)
+
+    out = ops.conv1d(x, kernels, bias)
+    expected = conv1d_padded_oracle(x, kernels, bias)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+    for got, want in zip(ops.conv1d_backward(grad, x, kernels),
+                         conv1d_backward_padded_oracle(grad, x, kernels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

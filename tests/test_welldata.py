@@ -128,6 +128,95 @@ class TestParseCsv:
                 np.testing.assert_array_equal(a.channels[c], b.channels[c])
 
 
+    def test_log_value_outside_float32_names_file_row_well_channel(self, tmp_path):
+        p = tmp_path / "a.csv"
+        write_rows(p, ["1,F,W,1.0,1,1,1,1,1,1,1", "1,F,W,2.0,1,1,-1e39,1,1,1,1"])
+        with pytest.raises(DataFormatError,
+                           match=rf"{p}: row 3: well W: DeltaPHI value '-1e39' is "
+                                 rf"outside the float32 range"):
+            wd.parse_csv(p)
+
+    def test_largest_float32_value_accepted(self, tmp_path):
+        p = tmp_path / "a.csv"
+        top = float(np.finfo(np.float32).max)
+        write_rows(p, [f"1,F,W,1.0,{top!r},1,1,1,1,1,{-top!r}"])
+        (well,) = wd.parse_csv(p)
+        assert well.channels["GR"][0] == top and well.channels["RELPOS"][0] == -top
+
+
+# Cell texts for the two ways parse_csv reads a block: by columns, and cell
+# by cell. float() reads the first group, and rejects the second; the
+# rest hit a rule of their own. Each goes into a Depth, a log and a
+# Facies cell.
+CELL_TEXTS = ["1_000", " 1.5 ", "+2", "1e-400", "١٢", "3", "-0.0",
+              "0x10", "1e", "1,5", "nan(1)",
+              "", "  ", "nan", "-nan", "Infinity", "-inf", "1e300", "3.5e38"]
+CELL_COLUMNS = {"Depth": 3, "PE": 8, "Facies": 0}
+
+
+def _parse_outcome(path):
+    """The wells' bytes, or the error message."""
+    try:
+        wells = wd.parse_csv(path)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    return "wells", [(w.name, w.depth.tobytes(),
+                      None if w.labels is None else w.labels.tobytes(),
+                      [w.channels[c].tobytes() for c in wd.CHANNELS], w.formation)
+                     for w in wells]
+
+
+def _cell_by_cell(monkeypatch):
+    """Make parse_csv read every block cell by cell."""
+    monkeypatch.setattr(wd, "_convert_columns", lambda col, width, rows: None)
+
+
+@pytest.mark.parametrize("column", CELL_COLUMNS)
+@pytest.mark.parametrize("text", CELL_TEXTS)
+def test_block_and_cell_paths_agree(tmp_path, monkeypatch, text, column):
+    p = tmp_path / "a.csv"
+    rows = [["3", "F", "W", f"{d}.5", "1", "2", "3", "4", "5", "6", "0.5"]
+            for d in (7, 8, 9)]
+    rows[1][CELL_COLUMNS[column]] = f'"{text}"' if "," in text else text
+    write_rows(p, [",".join(r) for r in rows])
+    by_columns = _parse_outcome(p)
+    _cell_by_cell(monkeypatch)
+    assert _parse_outcome(p) == by_columns
+
+
+def test_clean_blocks_are_read_by_columns(tmp_path, monkeypatch):
+    p = tmp_path / "a.csv"
+    wd.write_csv([make_well("A", n=30, seed=1), make_well("B", n=30, seed=2)], p)
+
+    def no_cells(*args):
+        raise AssertionError("a clean block was read cell by cell")
+
+    monkeypatch.setattr(wd, "_parse_row", no_cells)
+    assert [len(w) for w in wd.parse_csv(p)] == [30, 30]
+
+
+@pytest.mark.parametrize("faults", [(), (4,), (9, 4), (13,), (7, 8)])
+def test_first_fault_in_file_order_across_blocks(tmp_path, monkeypatch, faults):
+    # blocks of 3 rows; bad cells in data rows `faults` (1-based), wells
+    # interleaved, so each message must name the first bad row in the file
+    p = tmp_path / "a.csv"
+    rows = [f"{1 + i % 9},F,W{i % 2},{float(i)!r},1,2,3,4,5,6,0.5" for i in range(14)]
+    for i, r in enumerate(faults):
+        cells = rows[r - 1].split(",")
+        cells[4 + i] = "oops" if i == 0 else "inf"
+        rows[r - 1] = ",".join(cells)
+    write_rows(p, rows)
+    monkeypatch.setattr(wd, "_BLOCK_ROWS", 3)
+    by_columns = _parse_outcome(p)
+    if faults:
+        assert by_columns[0] == "error"
+        assert f"row {min(faults) + 1}:" in by_columns[1]
+    else:
+        assert [len(w[1]) // 8 for w in by_columns[1]] == [7, 7]
+    _cell_by_cell(monkeypatch)
+    assert _parse_outcome(p) == by_columns
+
+
 class TestStandardizer:
     def test_hand_population_stats(self):
         w = make_well(n=3, labels=False)
@@ -231,6 +320,14 @@ class TestWindows:
         np.testing.assert_array_equal(merged.labels, np.concatenate([a.labels, b.labels]))
         logs_a = a.channel_matrix()
         np.testing.assert_allclose(merged.windows[3, :, 2], logs_a[:, 3], rtol=1e-6)
+
+    def test_value_outside_float32_names_well_channel_depth(self):
+        w = make_well("BIG", n=5)
+        w.channels["NM_M"][3] = -1e40
+        with pytest.raises(DataFormatError,
+                           match=r"well BIG: NM_M at depth 4\.5 is -1e\+40 after "
+                                 r"standardization, outside the float32 range"):
+            wd.window_matrix(w, 3)
 
     def test_nan_gap_rejected(self):
         w = make_well(n=5)
