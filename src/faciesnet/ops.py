@@ -31,7 +31,8 @@ def _require_batch(x: np.ndarray, op: str) -> np.ndarray:
 
 @dataclass
 class LayerCache:
-    """Saved forward-pass state max-pooling needs for its backward pass.
+    """Saved forward-pass state max-pooling needs for its backward pass:
+    each window's argmax and the padding to fold back onto the edges.
 
     Only a training-mode pool records the argmax: an inference-mode
     pool leaves `positions` an empty array, and its cache cannot be
@@ -42,8 +43,6 @@ class LayerCache:
     pad_left: int = 0
     in_length: int = 0
     padded_length: int = 0
-    kernel: int = 0                         # max-pool window and step
-    stride: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,10 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
     Works by shifted slices: offset j of every window is the strided
     slice xp[..., j::stride], so the pool is `kernel` elementwise steps
     over whole arrays, and the slice clipping at the end of the input
-    is what shortens the trailing window.
+    is what shortens the trailing window. In training, step j sets a
+    window's argmax offset to max(offset, j * (sample > max so far)):
+    j exceeds every earlier offset, so a strictly greater sample moves
+    the offset to j and an equal one leaves the first maximum.
     """
     x = _require_batch(x, "pool1d")
     if kernel < 1 or stride < 1:
@@ -171,22 +173,25 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
         shifted = xp[:, :, j:j + span:stride]
         n = shifted.shape[2]
         head = vals[:, :, :n]
-        if training:  # strict >: an equal later sample never wins
-            offset[:, :, :n] = np.where(shifted > head, j, offset[:, :, :n])
+        if training:
+            moved = np.greater(shifted, head) * offset.dtype.type(j)
+            np.maximum(offset[:, :, :n], moved, out=offset[:, :, :n])
         np.maximum(head, shifted, out=head)
     pos = offset + np.arange(n_out) * stride if training else np.empty(0, dtype=np.intp)
 
     cache = LayerCache(positions=pos, pad_left=pad_left, in_length=length,
-                       padded_length=lp, kernel=kernel, stride=stride)
+                       padded_length=lp)
     return vals, cache
 
 
 def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
     """Route each window's upstream gradient to its argmax sample.
 
-    Scans the offsets from last to first, so every sample sums the
-    windows that chose it in ascending window order and float32 sums
-    round the same way as a scatter-add in window order.
+    One scatter-add over the flattened (B*C*Lp) padded gradient, at
+    index position + (b*C + c)*Lp. np.add.at adds in index order, which
+    is ascending window order within each row, so a sample that several
+    windows chose sums their gradients in window order. The pad columns
+    of a "same" pool are then folded onto the boundary samples.
     """
     grad = np.asarray(grad)
     pos = cache.positions
@@ -194,15 +199,12 @@ def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
         raise ShapeError("pool1d_backward needs the cache of a training-mode pool1d")
     if grad.shape != pos.shape:
         raise ShapeError(f"upstream grad shape {grad.shape} != pooled shape {pos.shape}")
-    b, c, n_out = grad.shape
-    lp, stride = cache.padded_length, cache.stride
-    span = (n_out - 1) * stride + 1
-    offset = pos - np.arange(n_out) * stride
-    d_xp = np.zeros((b, c, lp), dtype=grad.dtype)
-    for j in range(cache.kernel - 1, -1, -1):
-        target = d_xp[:, :, j:j + span:stride]
-        n = target.shape[2]
-        target += np.where(offset[:, :, :n] == j, grad[:, :, :n], 0)
+    b, c, _ = grad.shape
+    lp = cache.padded_length
+    row_start = np.arange(0, b * c * lp, lp).reshape(b, c, 1)
+    d_xp = np.zeros(b * c * lp, dtype=grad.dtype)
+    np.add.at(d_xp, (pos + row_start).ravel(), grad.ravel())
+    d_xp = d_xp.reshape(b, c, lp)
 
     pad, length = cache.pad_left, cache.in_length
     if lp == length:
@@ -246,8 +248,21 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pass gradient where the forward input was positive."""
-    return np.where(np.asarray(x) > 0, grad, 0)
+    """Pass gradient where the forward input was positive, +0.0 elsewhere.
+
+    The result takes x's memory layout: a conv output is (B, L, O) in
+    memory, and conv1d_backward reads its gradient in that order. The
+    mask multiplies the float's bit pattern as an integer by 0 or 1, so
+    every value equals np.where(x > 0, grad, 0) bit for bit: -0.0 and
+    NaN pass unchanged, and a masked inf or negative gradient becomes
+    +0.0, where a float multiply by 0 would give NaN or -0.0.
+    """
+    grad, x = np.asarray(grad), np.asarray(x)
+    d = np.empty_like(x, dtype=grad.dtype)
+    d[...] = grad
+    bits = d.view(f"i{d.itemsize}")
+    bits *= x > 0
+    return d
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

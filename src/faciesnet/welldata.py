@@ -255,7 +255,7 @@ def _convert_columns(col, width, rows):
     or None when a row is short or a cell fails a check.
 
     numpy converts a str with float(), so a column converts exactly as
-    _parse_row's cells do; an empty cell is a gap.
+    _parse_row's cells do; a blank cell, after strip, is a gap.
     """
     if min(map(len, rows)) < width:
         return None
@@ -264,11 +264,8 @@ def _convert_columns(col, width, rows):
     for i, name in enumerate(_NUMERIC_FIELDS):
         if name not in col:
             continue
-        texts = cells[col[name]]
-        if "" in texts:
-            texts = [text or "nan" for text in texts]
         try:
-            values[i] = np.array(texts, dtype=np.float64)
+            values[i] = _column_floats(cells[col[name]])
         except ValueError:
             return None
     facies = values[-1]
@@ -278,6 +275,16 @@ def _convert_columns(col, width, rows):
             or (np.abs(values[1:-1]) > FLOAT32_MAX).any() or not facies_ok.all()):
         return None
     return values
+
+
+def _column_floats(texts):
+    """float() of each text, NaN for a blank one; the blanks are looked
+    for only once a text fails to convert."""
+    try:
+        return np.array(texts, dtype=np.float64)
+    except ValueError:
+        return np.array([text if text.strip() else "nan" for text in texts],
+                        dtype=np.float64)
 
 
 def _parse_row(path, col, width, row_no, row) -> tuple:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from faciesnet import ops
+from faciesnet import network, ops
 from faciesnet.errors import ConfigError, NumericError, ShapeError
 from faciesnet.network import ModelSpec, param_shapes, pooled_length
 
@@ -241,8 +241,67 @@ def test_conv_bitwise_equals_padded_oracle(batch, shape, length, dtype):
 # ---------------------------------------------------------------------------
 # pool1d
 
-# pool shapes the tie tests run over TestPool1d._tied_input
+def tied_input(shape, channels_last=False):
+    """Post-ReLU float32 logs: runs of exact zeros and constant runs.
+
+    With channels_last the (B, C, L) batch lies in memory as (B, L, C),
+    as a conv1d output does.
+    """
+    b, c, length = shape
+    rng = np.random.default_rng(length)
+    if channels_last:
+        x = np.maximum(rng.normal(size=(b, length, c)), 0).astype(np.float32).transpose(0, 2, 1)
+    else:
+        x = np.maximum(rng.normal(size=shape), 0).astype(np.float32)
+    x[0, 0, 2:7] = 0.5
+    x[1, 2, :] = 0.0
+    x[1, 1, -4:] = 1.25
+    return x
+
+
+def _default_pool_cases():
+    """The default model's four training pools at batch 64, each input
+    in the memory layout model_forward hands it: channels last for the
+    stem's conv output and for the concat of each stage's branches,
+    channels first for the stage-0 pool output that stage 1 reads."""
+    spec = ModelSpec()
+    lengths = spec.stage_lengths()
+    cases = []
+    for i, stage in enumerate(spec.stages):
+        c_in = spec.stem_channels if i == 0 else spec.stages[i - 1].out_channels
+        cases.append((f"s{i}.branch", network.BRANCH_POOL_KERNEL, 1, "same",
+                      (64, c_in, lengths[i]), i == 0))
+        cases.append((f"s{i}.stage", network.POOL_KERNEL, network.POOL_STRIDE, "valid",
+                      (64, stage.out_channels, lengths[i]), True))
+    return cases
+
+
+# pool shapes the tie tests run over, on (2, 3, L) tied inputs
 TIE_TABLE = [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid"), (2, 3, "valid")]
+# (id, kernel, stride, padding, input shape, channels_last): TIE_TABLE at
+# L = 12 and 13, then the default model's training pools
+TIE_CASES = [(f"{k}-{s}-{p}-{length}", k, s, p, (2, 3, length), False)
+             for k, s, p in TIE_TABLE for length in (12, 13)] + _default_pool_cases()
+tie_cases = pytest.mark.parametrize("kernel, stride, padding, shape, channels_last",
+                                    [c[1:] for c in TIE_CASES], ids=[c[0] for c in TIE_CASES])
+
+
+def test_default_pool_cases_match_model_forward(monkeypatch):
+    spec = ModelSpec()
+    seen = []
+    pool1d = ops.pool1d
+
+    def spy(x, *args, **kwargs):
+        seen.append((x.shape, x.strides))
+        return pool1d(x, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "pool1d", spy)
+    batch = np.zeros((64, spec.in_channels, spec.window), dtype=np.float32)
+    network.model_forward(spec, network.init_params(spec, 0), batch, training=True,
+                          rng=np.random.default_rng(0))
+    cases = [tied_input(shape, channels_last) for *_, shape, channels_last
+             in _default_pool_cases()]
+    assert seen == [(x.shape, x.strides) for x in cases]
 
 
 class TestPool1d:
@@ -289,29 +348,18 @@ class TestPool1d:
         np.testing.assert_array_equal(out, [[[1, 4, 7, 10]]])
         np.testing.assert_array_equal(cache.positions[0], [[1, 4, 7, 10]])
 
-    @staticmethod
-    def _tied_input(length):
-        """Post-ReLU float32 logs: runs of exact zeros and constant runs."""
-        rng = np.random.default_rng(length)
-        x = np.maximum(rng.normal(size=(2, 3, length)), 0).astype(np.float32)
-        x[0, 0, 2:7] = 0.5
-        x[1, 2, :] = 0.0
-        x[1, 1, -4:] = 1.25
-        return x
-
-    @pytest.mark.parametrize("length", [12, 13])
-    @pytest.mark.parametrize("kernel,stride,padding", TIE_TABLE)
-    def test_ties_pick_first_maximum(self, kernel, stride, padding, length):
-        x = self._tied_input(length)
+    @tie_cases
+    def test_ties_pick_first_maximum(self, kernel, stride, padding, shape, channels_last):
+        x = tied_input(shape, channels_last)
         vals, cache = ops.pool1d(x, kernel, stride, padding, training=True)
         want_vals, want_pos = pool1d_loops(x, kernel, stride, padding)
         np.testing.assert_array_equal(vals, want_vals)
         np.testing.assert_array_equal(cache.positions, want_pos)
 
-    @pytest.mark.parametrize("length", [12, 13])
-    @pytest.mark.parametrize("kernel,stride,padding", TIE_TABLE)
-    def test_inference_values_equal_training_values(self, kernel, stride, padding, length):
-        x = self._tied_input(length)
+    @tie_cases
+    def test_inference_values_equal_training_values(self, kernel, stride, padding, shape,
+                                                     channels_last):
+        x = tied_input(shape, channels_last)
         trained, _ = ops.pool1d(x, kernel, stride, padding, training=True)
         inferred, cache = ops.pool1d(x, kernel, stride, padding)
         assert inferred.dtype == trained.dtype
@@ -319,19 +367,19 @@ class TestPool1d:
         assert cache.positions.size == 0
 
     def test_backward_needs_a_training_cache(self):
-        x = self._tied_input(12)
+        x = tied_input((2, 3, 12))
         out, cache = ops.pool1d(x, 2, 2)
         with pytest.raises(ShapeError, match="training-mode"):
             ops.pool1d_backward(np.ones_like(out), cache)
 
-    @pytest.mark.parametrize("length", [12, 13])
-    @pytest.mark.parametrize("kernel,stride,padding", TIE_TABLE)
-    def test_backward_bitwise_equals_scatter_add(self, kernel, stride, padding, length):
+    @tie_cases
+    def test_backward_bitwise_equals_scatter_add(self, kernel, stride, padding, shape,
+                                                 channels_last):
         # gradients over eight decades, so a different summation order
         # on a sample that several windows chose rounds differently
-        x = self._tied_input(length)
+        x = tied_input(shape, channels_last)
         _, cache = ops.pool1d(x, kernel, stride, padding, training=True)
-        rng = np.random.default_rng(length + kernel)
+        rng = np.random.default_rng(shape[-1] + kernel)
         up = (rng.normal(size=cache.positions.shape)
               * 10.0 ** rng.uniform(-4, 4, size=cache.positions.shape)).astype(np.float32)
         got = ops.pool1d_backward(up, cache)
@@ -399,6 +447,45 @@ class TestActivations:
     def test_relu_backward(self):
         d = ops.relu_backward(np.array([5.0, 5.0]), np.array([-1.0, 2.0]))
         np.testing.assert_array_equal(d, [0.0, 5.0])
+
+    @staticmethod
+    def _relu_inputs(kind, dtype):
+        """(grad, x) for relu_backward: x a C-order batch, a conv1d output
+        (channels last in memory) or a 2-D dense pre-activation, and a
+        C-order gradient. Column 0 of x is 0.0, column 1 -0.0, column 2
+        NaN; the gradient is -0.0 at x = 1 in column 3, inf and NaN in
+        masked columns 4 and 5, -inf at x = 2 in column 6."""
+        rng = np.random.default_rng(7)
+        if kind == "c-order":
+            x = rng.normal(size=(3, 4, 9)).astype(dtype)
+        elif kind == "conv1d":
+            x = ops.conv1d(rng.normal(size=(3, 2, 9)).astype(dtype),
+                           rng.normal(size=(4, 2, 3)).astype(dtype), np.zeros(4, dtype))
+        else:
+            x = ops.dense(rng.normal(size=(5, 3)).astype(dtype),
+                          rng.normal(size=(9, 3)).astype(dtype), np.zeros(9, dtype))
+        grad = rng.normal(size=x.shape).astype(dtype)
+        x[..., :7] = [0.0, -0.0, np.nan, 1.0, -1.0, -1.0, 2.0]
+        grad[..., 3:7] = [-0.0, np.inf, np.nan, -np.inf]
+        return grad, x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["c-order", "conv1d", "dense"])
+    def test_relu_backward_bitwise_equals_where(self, kind, dtype):
+        grad, x = self._relu_inputs(kind, dtype)
+        assert ((grad < 0) & ~(x > 0)).any()
+        got = ops.relu_backward(grad, x)
+        want = np.where(x > 0, grad, 0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.strides == x.strides  # x's memory layout
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        # where a float multiply by the mask differs: a masked negative
+        # gradient gives -0.0 and a masked inf NaN, relu_backward +0.0
+        masked = ~(x > 0) & ((grad < 0) | np.isinf(grad))
+        assert not np.signbit(got[masked]).any() and (got[masked] == 0).all()
+        with np.errstate(invalid="ignore"):
+            product = (grad * (x > 0))[masked]
+        assert (np.signbit(product) | np.isnan(product)).all()
 
     def test_softmax_uniform(self):
         np.testing.assert_allclose(ops.softmax(np.zeros(3)), np.full(3, 1 / 3))

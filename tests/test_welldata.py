@@ -185,14 +185,23 @@ def test_block_and_cell_paths_agree(tmp_path, monkeypatch, text, column):
 
 
 def test_clean_blocks_are_read_by_columns(tmp_path, monkeypatch):
+    # an empty and a whitespace-only PE cell are gaps, not faults
     p = tmp_path / "a.csv"
     wd.write_csv([make_well("A", n=30, seed=1), make_well("B", n=30, seed=2)], p)
+    lines = p.read_text().splitlines()
+    for row, gap in ((3, ""), (40, " ")):
+        cells = lines[row].split(",")
+        cells[CELL_COLUMNS["PE"]] = gap
+        lines[row] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n")
 
     def no_cells(*args):
         raise AssertionError("a clean block was read cell by cell")
 
     monkeypatch.setattr(wd, "_parse_row", no_cells)
-    assert [len(w) for w in wd.parse_csv(p)] == [30, 30]
+    wells = wd.parse_csv(p)
+    assert [len(w) for w in wells] == [30, 30]
+    assert [np.flatnonzero(np.isnan(w.channels["PE"])).tolist() for w in wells] == [[2], [9]]
 
 
 @pytest.mark.parametrize("faults", [(), (4,), (9, 4), (13,), (7, 8)])
