@@ -14,7 +14,6 @@ failure, 4 missing labels.
 
 import argparse
 import configparser
-import csv
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -25,13 +24,13 @@ import numpy as np
 from . import network
 from .errors import (ConfigError, DataFormatError, MissingLabelsError,
                      NumericError, ShapeError)
-from .evaluation import (_csv_cell, evaluate, export_plot_data,
-                         predict_with_confidence, write_metrics_json)
+from .evaluation import (evaluate, export_plot_data, predict_with_confidence,
+                         write_metrics_json, write_predictions)
 from .network import Checkpoint, InceptionSpec, ModelSpec
 from .synth import SynthConfig, generate_wells
 from .training import TrainConfig, train
-from .welldata import (N_FACIES, FaciesTable, fit_standardizer, impute_pe,
-                       load_adjacency, parse_csv, split_by_well, write_csv)
+from .welldata import (FaciesTable, fit_standardizer, impute_pe, load_adjacency,
+                       parse_csv, split_by_well, write_csv)
 
 GRADCHECK_SEEDS = range(5)
 GRADCHECK_TOLERANCE = 1e-4
@@ -242,18 +241,19 @@ def _predict_wells(model, wells, threads):
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     wells, allow_pe = _load_wells(args, cfg)
-
+    blind = _blind_names(args, cfg)
+    if blind:
+        wells, _ = split_by_well(wells, list(blind))
     unlabeled = [w.name for w in wells if w.labels is None]
     if unlabeled:
         raise MissingLabelsError(f"training data has unlabeled wells: "
                                  f"{sorted(unlabeled)}")
-    blind = _blind_names(args, cfg)
-    if blind:
-        wells, _ = split_by_well(wells, list(blind))
-    if allow_pe and wells:
-        # the mean of the recorded PE values (gaps excluded); with no
-        # wells left, train reports that
-        wells = impute_pe(wells, fit_standardizer(wells).mean["PE"])
+    if allow_pe:
+        # the mean of the recorded PE values (gaps excluded) of the wells
+        # train fits on; with none, train reports that
+        fitted = [w for w in wells if w.name not in cfg.training.validation_wells]
+        if fitted:
+            wells = impute_pe(wells, fit_standardizer(fitted).mean["PE"])
 
     checkpoint, report = train(cfg.training, wells, spec=cfg.model)
     out = _out_dir(args)
@@ -276,18 +276,7 @@ def cmd_predict(args) -> int:
     series = _predict_wells(model, wells, args.threads)
     out = _out_dir(args)
     path = out / "predictions.csv"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["well", "depth", "facies"]
-                                + [f"p{f}" for f in range(1, N_FACIES + 1)]
-                                + ["confidence", "band"])
-        for s in series:  # f-strings, as export_plot_data writes its rows
-            name = _csv_cell(s.well_name)
-            rows = zip(s.depth.tolist(), s.facies.tolist(), s.probs.tolist(),
-                       s.confidence.tolist(), s.bands)
-            fh.writelines(
-                f"{name},{depth!r},{facies},{repr(probs)[1:-1].replace(', ', ',')},"
-                f"{confidence!r},{band}\r\n"
-                for depth, facies, probs, confidence, band in rows)
+    write_predictions(series, path)
     total = sum(len(s) for s in series)
     print(f"wrote {total} predictions for {len(series)} wells to {path}")
     return 0
@@ -310,7 +299,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     export_plot_data(report, series, out)
     write_metrics_json(report, out / "metrics.json")
-    print(f"evaluated {report.n_samples} samples over {len(wells)} wells")
+    print(f"evaluated {report.cm.n_samples} samples over {len(wells)} wells")
     print(f"  macro-F1          {report.prf.macro_f1:.4f}")
     print(f"  weighted-F1       {report.prf.weighted_f1:.4f}")
     print(f"  accuracy          {report.accuracy:.4f}")

@@ -118,27 +118,22 @@ def precision_recall_f1(cm: ConfusionMatrix) -> PRFReport:
     return PRFReport(precision, recall, f1, undefined, macro, weighted)
 
 
-def accuracy(true_labels, predicted_labels) -> float:
-    t = np.asarray(true_labels)
-    p = np.asarray(predicted_labels)
-    if t.shape != p.shape:
-        raise ShapeError(f"label lengths differ: {t.shape} vs {p.shape}")
-    return int((t == p).sum()) / len(t) if len(t) else 0.0
+def accuracy(cm: ConfusionMatrix) -> float:
+    """Fraction predicted exactly right: the diagonal over all samples."""
+    return int(np.trace(cm.counts)) / cm.n_samples if cm.n_samples else 0.0
 
 
-def adjacent_accuracy(true_labels, predicted_labels,
+def adjacent_accuracy(cm: ConfusionMatrix,
                       table: Optional[FaciesTable] = None) -> float:
-    """Fraction predicted exactly right or within the adjacency map."""
-    table = table or FaciesTable()
-    t = _check_labels("true", true_labels)
-    p = _check_labels("predicted", predicted_labels)
-    if t.shape != p.shape:
-        raise ShapeError(f"label lengths differ: {t.shape} vs {p.shape}")
-    if not len(t):
+    """Fraction predicted exactly right or within the adjacency map: the
+    diagonal plus each facies' neighbour cells, over all samples."""
+    if not cm.n_samples:
         return 0.0
-    hits = sum(1 for ti, pi in zip(t.tolist(), p.tolist())
-               if pi == ti or pi in table.adjacency.get(ti, set()))
-    return hits / len(t)
+    table = table or FaciesTable()
+    hits = int(np.trace(cm.counts)) + sum(
+        int(cm.counts[f - 1, g - 1])
+        for f, neighbours in table.adjacency.items() for g in neighbours)
+    return hits / cm.n_samples
 
 
 @dataclass
@@ -149,12 +144,10 @@ class EvalReport:
     prf: PRFReport
     accuracy: float
     adjacent_accuracy: float
-    facies_counts: dict
-    n_samples: int
 
     def to_json_dict(self) -> dict:
         return {
-            "n_samples": self.n_samples,
+            "n_samples": self.cm.n_samples,
             "accuracy": self.accuracy,
             "adjacent_accuracy": self.adjacent_accuracy,
             "macro_f1": self.prf.macro_f1,
@@ -169,22 +162,16 @@ class EvalReport:
                 for f in range(N_FACIES)
             ],
             "confusion": self.cm.counts.tolist(),
-            "facies_counts": {str(k): v for k, v in self.facies_counts.items()},
+            "facies_counts": {str(f + 1): int(self.cm.support[f])
+                              for f in range(N_FACIES)},
         }
 
 
 def evaluate(true_labels, predicted_labels,
              table: Optional[FaciesTable] = None) -> EvalReport:
     cm = confusion(true_labels, predicted_labels)
-    prf = precision_recall_f1(cm)
-    support = cm.support
-    return EvalReport(
-        cm=cm, prf=prf,
-        accuracy=accuracy(true_labels, predicted_labels),
-        adjacent_accuracy=adjacent_accuracy(true_labels, predicted_labels, table),
-        facies_counts={f + 1: int(support[f]) for f in range(N_FACIES)},
-        n_samples=cm.n_samples,
-    )
+    return EvalReport(cm=cm, prf=precision_recall_f1(cm), accuracy=accuracy(cm),
+                      adjacent_accuracy=adjacent_accuracy(cm, table))
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +293,26 @@ def export_plot_data(report: EvalReport, series: list, out_dir) -> list:
         writer.writerow(["facies", "code", "train_count", "eval_count"])
         for f in range(1, N_FACIES + 1):
             writer.writerow([f, FACIES_CODES[f - 1], 0,
-                             report.facies_counts[f]])
+                             int(report.cm.support[f - 1])])
     paths.append(counts_path)
     return paths
+
+
+def write_predictions(series: list, path) -> None:
+    """predictions.csv: per depth, the predicted facies, its nine
+    probabilities, the confidence and its band."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["well", "depth", "facies"]
+                                + [f"p{f}" for f in range(1, N_FACIES + 1)]
+                                + ["confidence", "band"])
+        for s in series:
+            name = _csv_cell(s.well_name)
+            rows = zip(s.depth.tolist(), s.facies.tolist(), s.probs.tolist(),
+                       s.confidence.tolist(), s.bands)
+            fh.writelines(
+                f"{name},{depth!r},{facies},{repr(probs)[1:-1].replace(', ', ',')},"
+                f"{confidence!r},{band}\r\n"
+                for depth, facies, probs, confidence, band in rows)
 
 
 def write_metrics_json(report: EvalReport, path) -> None:

@@ -100,7 +100,6 @@ class Well:
     depth: np.ndarray
     channels: dict                       # channel name -> float64 vector
     labels: Optional[np.ndarray] = None  # facies ids 1..9, or None
-    formation: Optional[list] = None     # carried as metadata, not a feature
 
     def __post_init__(self):
         n = len(self.depth)
@@ -143,21 +142,22 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
     """Read wells from the contest-layout CSV.
 
     Header: Facies,Formation,Well Name,Depth,GR,ILD_log10,DeltaPHI,PHIND,
-    PE,NM_M,RELPOS. Facies and Formation are optional. Rows are grouped
-    by well name and depth-sorted; empty and `nan` numeric cells become
-    NaN gaps (in Facies, unlabeled samples). A numeric cell is any text
-    `float()` reads. Non-UTF-8 bytes, a row shorter than the header, an
-    infinite value, a log value outside the float32 range, a Facies cell
-    that is not an integer facies id 1..9, a depth repeated within a
-    well and a file without data rows raise DataFormatError naming the
-    file and the row (both rows for a repeated depth).
+    PE,NM_M,RELPOS. Facies is optional; a Formation column is accepted
+    and not read. Rows are grouped by well name and depth-sorted; empty
+    and `nan` numeric cells become NaN gaps (in Facies, unlabeled
+    samples). A numeric cell is any text `float()` reads. Non-UTF-8
+    bytes, a row shorter than the header, an infinite value, a log value
+    outside the float32 range, a Facies cell that is not an integer
+    facies id 1..9, a depth repeated within a well and a file without
+    data rows raise DataFormatError naming the file and the row (both
+    rows for a repeated depth).
 
     Cells are converted a block of rows and a column at a time; a block
     holding any cell the column checks reject is read again cell by
     cell, which raises on the first bad cell in file order.
     """
     try:
-        well_ids, of_row, row_nos, values, formations = _read_rows(path, allow_missing_pe)
+        well_ids, of_row, row_nos, values = _read_rows(path, allow_missing_pe)
     except UnicodeDecodeError:
         raise _utf8_error(path)
 
@@ -186,15 +186,14 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
                                   f"cells empty)")
         else:
             labels = facies.astype(np.int64)
-        formation = None if formations is None else [formations[i] for i in order]
-        wells.append(Well(name, depth, channels, labels, formation))
+        wells.append(Well(name, depth, channels, labels))
     return wells
 
 
 def _read_rows(path, allow_missing_pe):
     """Every data row of the file: ({well name: index} in order of first
     appearance, each row's well index, row numbers, the
-    (len(_NUMERIC_FIELDS), n_rows) values, Formation cells or None)."""
+    (len(_NUMERIC_FIELDS), n_rows) values)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -210,7 +209,6 @@ def _read_rows(path, allow_missing_pe):
             if name == "PE" and allow_missing_pe:
                 continue
             raise DataFormatError(f"{path}: missing required column {name!r}")
-        formations = [] if "Formation" in col else None
 
         well_ids, of_row, row_nos, blocks = {}, [], [], []
         for block_nos, rows in _row_blocks(reader):
@@ -222,11 +220,9 @@ def _read_rows(path, allow_missing_pe):
             row_nos += block_nos
             of_row += [well_ids.setdefault(row[col["Well Name"]].strip(), len(well_ids))
                        for row in rows]
-            if formations is not None:
-                formations += [row[col["Formation"]].strip() for row in rows]
         if not blocks:
             raise DataFormatError(f"{path}: no data rows")
-    return well_ids, np.array(of_row), row_nos, np.concatenate(blocks, axis=1), formations
+    return well_ids, np.array(of_row), row_nos, np.concatenate(blocks, axis=1)
 
 
 def _row_blocks(reader):
@@ -329,7 +325,8 @@ def _parse_row(path, col, width, row_no, row) -> tuple:
 
 
 def write_csv(wells: list, path) -> None:
-    """Serialize wells back to the same schema (repr floats round-trip exactly)."""
+    """Serialize wells back to the same schema (repr floats round-trip
+    exactly), the Formation column empty."""
     labeled = any(w.labels is not None for w in wells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -340,9 +337,7 @@ def write_csv(wells: list, path) -> None:
                 row = []
                 if labeled:
                     row.append("" if well.labels is None else str(int(well.labels[i])))
-                row.append(well.formation[i] if well.formation else "")
-                row.append(well.name)
-                row.append(repr(float(well.depth[i])))
+                row += ["", well.name, repr(float(well.depth[i]))]  # Formation empty
                 for c in CHANNELS:
                     v = well.channels[c][i]
                     row.append("" if np.isnan(v) else repr(float(v)))
@@ -389,8 +384,7 @@ def apply_standardizer(standardizer: Standardizer, well: Well) -> Well:
         channels = {c: (well.channels[c] - standardizer.mean[c]) / standardizer.std[c]
                     for c in well.channels}
     return Well(well.name, well.depth.copy(), channels,
-                None if well.labels is None else well.labels.copy(),
-                list(well.formation) if well.formation else None)
+                None if well.labels is None else well.labels.copy())
 
 
 def impute_pe(wells: list, pe_mean: float) -> list:
@@ -401,7 +395,7 @@ def impute_pe(wells: list, pe_mean: float) -> list:
         if np.any(np.isnan(pe)):
             channels = dict(w.channels)
             channels["PE"] = np.where(np.isnan(pe), pe_mean, pe)
-            w = Well(w.name, w.depth, channels, w.labels, w.formation)
+            w = Well(w.name, w.depth, channels, w.labels)
         out.append(w)
     return out
 

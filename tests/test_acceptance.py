@@ -15,7 +15,7 @@ import pytest
 
 from faciesnet import network, ops
 from faciesnet.cli import main
-from faciesnet.evaluation import (accuracy, adjacent_accuracy, evaluate,
+from faciesnet.evaluation import (accuracy, adjacent_accuracy, confusion, evaluate,
                                   predict_with_confidence)
 from faciesnet.network import (Checkpoint, InceptionSpec, ModelSpec,
                                inception_forward, init_params, model_forward)
@@ -196,7 +196,8 @@ def test_criterion_6_adjacent_accuracy_invariant(announce):
         for adjacency in ({}, default_adjacency(), full, random_adj):
             table = FaciesTable(adjacency=adjacency)
             checks += 1
-            if adjacent_accuracy(true, pred, table) < accuracy(true, pred):
+            if (adjacent_accuracy(confusion(true, pred), table)
+                    < accuracy(confusion(true, pred))):
                 violations += 1
     ok = violations == 0
     verdict(announce, 6, "adjacent accuracy invariant", ok,

@@ -210,6 +210,33 @@ class TestTrainCommand:
         write_csv(wells, path)
         assert main(["train", str(path), "--config", str(small_cfg)]) == 4
 
+    def test_unlabeled_blind_well_does_not_block_training(self, tmp_path, small_cfg,
+                                                          capsys):
+        # train fits every labeled well not held out
+        wells = generate_wells(SynthConfig(n_samples=60, seed=31), 3)
+        wells[2].labels = None
+        path = tmp_path / "blind-unlabeled.csv"
+        write_csv(wells, path)
+        code, _ = run_train(tmp_path, path, small_cfg,
+                            extra=["--blind-wells", wells[2].name])
+        assert code == 0
+        assert "2 wells" in capsys.readouterr().out
+
+    def test_pe_gaps_filled_from_fitted_wells_only(self, tmp_path):
+        wells = generate_wells(SynthConfig(n_samples=60, seed=33), 3)
+        wells[0].channels["PE"][::4] = np.nan
+        wells[2].channels["PE"] += 100.0  # the validation well
+        path = tmp_path / "gaps.csv"
+        write_csv(wells, path)
+        cfg = tmp_path / "val.cfg"
+        cfg.write_text(SMALL_MODEL_CFG + f"validation_wells = {wells[2].name}\n")
+        code, out_dir = run_train(tmp_path, path, cfg, extra=["--allow-missing-pe"])
+        assert code == 0
+        fitted = np.concatenate([w.channels["PE"] for w in wells[:2]])
+        # the gaps hold the recorded mean, so the mean is unchanged by them
+        pe_mean = Checkpoint.load(out_dir / "model.fnet").standardizer.mean["PE"]
+        assert pe_mean == pytest.approx(np.nanmean(fitted), rel=1e-12)
+
     def test_blind_wells_excluded(self, tmp_path, data_csv, small_cfg, capsys):
         code, _ = run_train(tmp_path, data_csv, small_cfg,
                             extra=["--blind-wells", "SYNTH032"])
@@ -561,6 +588,9 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
     ("train-diverges", TRAIN, "config", lambda raw: raw + b"learning_rate = 1e6\n", 3,
      ("numeric failure", "epoch 1, batch ")),
     ("all-blind-missing-pe", ALL_BLIND, None, None, 2,
+     ("configuration error: no training wells",)),
+    ("all-validation-missing-pe", TRAIN + ("--allow-missing-pe",), "config",
+     _set_key("training", "validation_wells", "SYNTH040,SYNTH041"), 2,
      ("configuration error: no training wells",)),
     ("train-window-too-short", TRAIN, "config",
      lambda raw: raw.replace(b"window = 9", b"window = 1"), 2,

@@ -63,6 +63,17 @@ def random_labels(rng, n):
     return rng.integers(1, 10, size=n).tolist()
 
 
+def random_adjacency(rng):
+    """A symmetric map holding each pair of distinct facies with chance 0.3."""
+    adjacency = {f: set() for f in range(1, 10)}
+    for a in range(1, 10):
+        for b in range(a + 1, 10):
+            if rng.random() < 0.3:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    return adjacency
+
+
 class TestConfusion:
     def test_perfect_prediction_is_diagonal(self):
         labels = [1, 2, 3, 9, 9, 5]
@@ -142,32 +153,35 @@ class TestPrecisionRecallF1:
 class TestAdjacentAccuracy:
     def test_perfect_prediction(self):
         labels = [3, 4, 5]
-        assert adjacent_accuracy(labels, labels) == 1.0
+        assert adjacent_accuracy(confusion(labels, labels)) == 1.0
 
     def test_one_neighbour_off_counts_as_hit(self):
-        assert adjacent_accuracy([2] * 10, [3] * 10) == 1.0
-        assert accuracy([2] * 10, [3] * 10) == 0.0
+        cm = confusion([2] * 10, [3] * 10)
+        assert adjacent_accuracy(cm) == 1.0
+        assert accuracy(cm) == 0.0
 
     def test_empty_adjacency_equals_plain_accuracy(self):
         rng = np.random.default_rng(4)
         true, pred = random_labels(rng, 200), random_labels(rng, 200)
         table = FaciesTable(adjacency={})
-        assert adjacent_accuracy(true, pred, table) == accuracy(true, pred)
+        cm = confusion(true, pred)
+        assert adjacent_accuracy(cm, table) == accuracy(cm)
 
     def test_never_below_plain_accuracy(self):
         rng = np.random.default_rng(5)
         full = {f: set(range(1, 10)) - {f} for f in range(1, 10)}
         for trial in range(20):
-            true, pred = random_labels(rng, 100), random_labels(rng, 100)
+            cm = confusion(random_labels(rng, 100), random_labels(rng, 100))
             for adj in ({}, default_adjacency(), full):
                 table = FaciesTable(adjacency=adj)
-                assert adjacent_accuracy(true, pred, table) >= accuracy(true, pred)
+                assert adjacent_accuracy(cm, table) >= accuracy(cm)
 
     def test_full_adjacency_is_always_one(self):
         rng = np.random.default_rng(6)
         full = {f: set(range(1, 10)) - {f} for f in range(1, 10)}
         true, pred = random_labels(rng, 50), random_labels(rng, 50)
-        assert adjacent_accuracy(true, pred, FaciesTable(adjacency=full)) == 1.0
+        cm = confusion(true, pred)
+        assert adjacent_accuracy(cm, FaciesTable(adjacency=full)) == 1.0
 
 
 class TestOracleAgreement:
@@ -176,25 +190,25 @@ class TestOracleAgreement:
         rng = np.random.default_rng(1000 + trial)
         n = int(rng.integers(1, 201))
         true, pred = random_labels(rng, n), random_labels(rng, n)
-        adjacency = default_adjacency()
-        report = evaluate(true, pred, FaciesTable(adjacency=adjacency))
-        (counts, precision, recall, f1,
-         macro, weighted, acc, adj) = oracle_metrics(true, pred, adjacency)
-        assert report.cm.counts.tolist() == counts
-        assert report.prf.precision == precision
-        assert report.prf.recall == recall
-        assert report.prf.f1 == f1
-        assert report.prf.macro_f1 == macro
-        assert report.prf.weighted_f1 == weighted
-        assert report.accuracy == acc
-        assert report.adjacent_accuracy == adj
+        for adjacency in (default_adjacency(), random_adjacency(rng)):
+            report = evaluate(true, pred, FaciesTable(adjacency=adjacency))
+            (counts, precision, recall, f1,
+             macro, weighted, acc, adj) = oracle_metrics(true, pred, adjacency)
+            assert report.cm.counts.tolist() == counts
+            assert report.prf.precision == precision
+            assert report.prf.recall == recall
+            assert report.prf.f1 == f1
+            assert report.prf.macro_f1 == macro
+            assert report.prf.weighted_f1 == weighted
+            assert report.accuracy == acc
+            assert report.adjacent_accuracy == adj
 
     def test_report_counts_match_support(self):
         rng = np.random.default_rng(7)
         true, pred = random_labels(rng, 300), random_labels(rng, 300)
         report = evaluate(true, pred)
-        assert sum(report.facies_counts.values()) == 300
-        assert report.n_samples == 300
+        assert sum(report.cm.support) == 300
+        assert report.cm.n_samples == 300
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +343,7 @@ class TestExport:
 
         with open(tmp_path / "facies_counts.csv") as fh:
             rows = list(csv.reader(fh))
-        assert [int(r[3]) for r in rows[1:]] == [report.facies_counts[f]
-                                                 for f in range(1, 10)]
+        assert [int(r[3]) for r in rows[1:]] == report.cm.support.tolist()
         # a checkpoint records no training counts
         assert [int(r[2]) for r in rows[1:]] == [0] * 9
 

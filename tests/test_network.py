@@ -13,10 +13,12 @@ from faciesnet.network import (InceptionSpec, ModelSpec, inception_forward,
 from faciesnet.welldata import CHANNELS, Standardizer
 
 
+TINY_STAGE = InceptionSpec(2, 2, 3, 2, 2, 7, 2, 2)
+
+
 def tiny_spec(**overrides):
     base = dict(window=9, stem_kernel=3, stem_channels=4,
-                stages=(InceptionSpec(2, 2, 3, 2, 2, 7, 2, 2),),
-                fc_sizes=(8,), dropout=0.0)
+                stages=(TINY_STAGE,), fc_sizes=(8,), dropout=0.0)
     base.update(overrides)
     return ModelSpec(**base)
 
@@ -298,6 +300,59 @@ class TestModelBackward:
     def test_full_model_gradient_check(self):
         err, worst = network.gradient_check(seed=0)
         assert err < 1e-4, f"worst relative error {err:.3e} at {worst}"
+
+    # the backward paths gradient_check's one-stage spec does not reach:
+    # an inception block fed by a stride-2 pool, no stem, zero or two fc layers
+    @pytest.mark.parametrize("overrides", [
+        dict(stages=(TINY_STAGE,) * 2),
+        dict(window=11, stages=(TINY_STAGE,) * 3),
+        dict(stem_kernel=0),
+        dict(fc_sizes=()),
+        dict(fc_sizes=(8, 8)),
+    ], ids=["2-stages-w9", "3-stages-w11", "no-stem", "no-fc", "two-fc"])
+    def test_gradients_across_specs(self, overrides):
+        """Float64 central differences (h = 1e-5) against model_backward,
+        element by element: |analytic - numeric| <= 1e-8 + 1e-4 |numeric|.
+
+        A relative rule alone fails on tiny elements, where the
+        difference quotient's own error dominates: with two fc layers, an
+        out.weights element of 1.4e-10 differs from its quotient by
+        4.6e-11, a third of itself (a 2-stage spec once read 1.06e-4 at a
+        5.0e-7 element under finite_diff_check's rule). Over these five
+        specs and seeds 0-2 that error stayed below 4.1e-10, so the 1e-8
+        floor leaves 25x room and still sits far below what a wrong
+        backward path gives.
+        """
+        spec = tiny_spec(dropout=0.25, **overrides)
+        rng = np.random.default_rng(0)
+        params = init_params(spec, seed=0, dtype=np.float64)
+        for name in params:  # off the ReLU kinks, as gradient_check does
+            if name.endswith(".bias"):
+                params[name] = 0.1 * rng.standard_normal(params[name].shape)
+        x = rng.standard_normal((2, len(CHANNELS), spec.window))
+        labels = rng.integers(0, 9, size=2)
+        mask_seed = int(rng.integers(2 ** 32))  # the same dropout mask each pass
+
+        def forward(p):
+            return model_forward(spec, p, x, training=True,
+                                 rng=np.random.default_rng(mask_seed))
+
+        logits, caches = forward(params)
+        grads = model_backward(spec, params, caches,
+                               ops.softmax_xent(logits, labels)[1])
+        h = 1e-5
+        for name, value in params.items():
+            flat = value.reshape(-1)
+            numeric = np.empty(flat.size)
+            for i, saved in enumerate(flat.tolist()):
+                flat[i] = saved + h
+                plus = ops.softmax_xent(forward(params)[0], labels)[0]
+                flat[i] = saved - h
+                minus = ops.softmax_xent(forward(params)[0], labels)[0]
+                flat[i] = saved
+                numeric[i] = (plus - minus) / (2 * h)
+            np.testing.assert_allclose(grads[name].reshape(-1), numeric,
+                                       rtol=1e-4, atol=1e-8, err_msg=name)
 
 
 class TestCheckpoint:

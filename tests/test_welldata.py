@@ -162,7 +162,7 @@ def _parse_outcome(path):
         return "error", str(exc)
     return "wells", [(w.name, w.depth.tobytes(),
                       None if w.labels is None else w.labels.tobytes(),
-                      [w.channels[c].tobytes() for c in wd.CHANNELS], w.formation)
+                      [w.channels[c].tobytes() for c in wd.CHANNELS])
                      for w in wells]
 
 

@@ -1,6 +1,6 @@
 """Regenerate the fixed-seed artefacts and print their sha256s.
 
-    python3 tools/golden.py [--root CHECKOUT]
+    python3 tools/golden.py [--root CHECKOUT] [--json]
 
 Runs, from the faciesnet source under CHECKOUT/src (default: the
 checkout this script lives in), in a temporary directory:
@@ -17,6 +17,12 @@ checkout this script lives in), in a temporary directory:
 and prints one `sha256  name` line each. Two checkouts that print the
 same lines write the same bytes on this machine. BLAS runs one thread
 unless the environment says otherwise. Needs only numpy.
+
+--json prints the hashes as golden.json holds them, together with the
+fingerprint of the environment that made them (numpy version, BLAS
+library and version, CPU model, machine):
+
+    python3 tools/golden.py --json > tools/golden.json
 """
 
 import argparse
@@ -24,7 +30,9 @@ import ast
 import contextlib
 import hashlib
 import io
+import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -48,13 +56,26 @@ def small_model_cfg(root: Path) -> str:
     raise SystemExit(f"no SMALL_MODEL_CFG in {root / 'tests' / 'test_cli.py'}")
 
 
+def fingerprint() -> dict:
+    """What the golden bytes may depend on besides the source."""
+    import numpy as np
+    from run import cpu_model  # perfbench's, so BENCH files name the CPU alike
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
+            "blas_version": blas.get("version", "unknown"), "cpu": cpu_model(),
+            "machine": platform.machine()}
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def artefacts(root: Path, work: Path) -> list:
     """[(name, path)] of every artefact, made in work."""
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from faciesnet.cli import main
     import workloads
 
@@ -85,10 +106,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
                         help="source checkout to run (default: this one)")
+    parser.add_argument("--json", action="store_true",
+                        help="print golden.json: the hashes and the environment's "
+                             "fingerprint")
     args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
-        for name, path in artefacts(args.root.resolve(), Path(tmp)):
-            print(f"{sha256(path)}  {name}")
+        hashes = {name: sha256(path) for name, path in artefacts(root, Path(tmp))}
+    if args.json:
+        print(json.dumps({"fingerprint": fingerprint(), "sha256": hashes}, indent=2))
+    else:
+        for name, digest in hashes.items():
+            print(f"{digest}  {name}")
     return 0
 
 
