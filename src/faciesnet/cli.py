@@ -242,6 +242,12 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     wells, allow_pe = _load_wells(args, cfg)
     blind = _blind_names(args, cfg)
+    both = sorted(set(blind) & set(cfg.training.validation_wells))
+    if both:
+        where = "--blind-wells" if args.blind_wells else "[data] blind_wells"
+        raise ConfigError(f"config file {args.config}: wells named both in "
+                          f"[training] validation_wells and in {where}: {both}; "
+                          f"a blind well is held out of training")
     if blind:
         wells, _ = split_by_well(wells, list(blind))
     unlabeled = [w.name for w in wells if w.labels is None]

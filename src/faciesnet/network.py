@@ -21,7 +21,7 @@ CHECKPOINT_MAGIC = "#fnet v1"
 POOL_KERNEL = 2   # between-stage downsampling drops every other sample
 POOL_STRIDE = 2
 BRANCH_POOL_KERNEL = 3  # inside the inception pool branch: stride 1, same padding
-INFERENCE_BATCH = 1024  # windows per inference-mode forward pass
+INFERENCE_BATCH = 256  # windows per inference-mode forward pass
 
 
 def _odd_positive(n: int) -> bool:

@@ -1,14 +1,25 @@
 """Dense 1D layer kernels: forward passes, exact analytic backward passes,
 and a finite-difference harness to verify them.
 
-Arrays are plain numpy ndarrays, row-major, float32 in production and
-float64 for gradient checks. Log windows travel in batches laid out
-channels-first, (batch, channels, length); the convolution and pooling
-ops accept no other rank, and the dense head and the loss take
-(batch, features). Convolutions are same-padded, so they keep the
-length. Each one is a single matmul over an im2col matrix that `K`
-slice copies of the input fill, with zeros where a window reaches past
-either end; the backward pass builds the same matrix.
+Arrays are plain numpy ndarrays, float32 in production and float64 for
+gradient checks. Log windows travel in batches of logical shape
+(batch, channels, length); the convolution and pooling ops accept no
+other rank, and the dense head and the loss take (batch, features).
+
+Memory layout: the series ops store what they return channels last. A
+conv, pool or backward-pass result is the (0, 2, 1) transpose view of a
+C-contiguous (batch, length, channels) buffer, and ReLU and the channel
+concat keep their inputs' layout, so every activation of a model
+forward pass lies channels last. The next op then reads it as
+(batch, length, channels) rows for free: a 1x1 conv's im2col matrix is a
+view, and a pool scans whole channel rows. The ops accept a C-order
+batch too (as the network's input is) and give the same bits on it,
+at the cost of one transposing copy.
+
+Convolutions are same-padded, so they keep the length. Each one is a
+single matmul over an im2col matrix that `K` slice copies of the input
+fill, with zeros where a window reaches past either end; the backward
+pass builds the same matrix.
 
 All functions are pure: state a backward pass needs is returned
 explicitly as a cache, never stored on a module or instance.
@@ -55,7 +66,9 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
     Samples beyond either end count as zeros, so the length is preserved.
     K must be odd. One matmul of the (B*L, C*K) im2col matrix, which
-    `_im2col` fills with K slice copies, with the (O, C*K) kernels.
+    `_im2col` fills with K slice copies, with the (O, C*K) kernels; the
+    bias is added in place into its (B*L, O) result, whose transpose
+    view is returned: channels last in memory.
     """
     x = _require_batch(x, "conv1d")
     kernels = np.asarray(kernels)
@@ -72,16 +85,18 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
     b, _, length = x.shape
     out = _im2col(x, k) @ kernels.reshape(n_out, n_in * k).T   # (B*L, O)
-    return out.reshape(b, length, n_out).transpose(0, 2, 1) + bias[:, None]
+    out += bias
+    return out.reshape(b, length, n_out).transpose(0, 2, 1)
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """The (B*L, C*K) matrix whose row b*L + t holds, channel by channel,
     the K samples x[b, c, t - (K-1)/2 : t + (K+1)/2], zero past the ends.
 
-    x is copied once into (B, L, C) order; column j of every channel is
-    then one slice copy of it, shifted by j - (K-1)/2, into a zeroed
-    (B, L, C, K) array. For K = 1 that copy is the matrix.
+    x is read in (B, L, C) order, a free view when it lies channels last
+    and one copy otherwise; column j of every channel is then one slice
+    copy of it, shifted by j - (K-1)/2, into a zeroed (B, L, C, K) array.
+    For K = 1 that view is the matrix.
     """
     b, c, length = x.shape
     xt = np.ascontiguousarray(x.transpose(0, 2, 1))
@@ -99,7 +114,11 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 
 def conv1d_backward(grad: np.ndarray, x: np.ndarray,
                     kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the same-padded conv1d: returns (d_input, d_kernels, d_bias)."""
+    """Gradients of the same-padded conv1d: returns (d_input, d_kernels, d_bias).
+
+    d_input is accumulated tap by tap into a (B, L + K - 1, C) buffer and
+    returned channels last; a channels-last grad is read without a copy.
+    """
     x = _require_batch(x, "conv1d_backward")
     grad = np.asarray(grad)
     n_out, n_in, k = kernels.shape
@@ -113,11 +132,10 @@ def conv1d_backward(grad: np.ndarray, x: np.ndarray,
     d_kernels = (g2.T @ _im2col(x, k)).reshape(n_out, n_in, k)
 
     d_col = (g2 @ kernels.reshape(n_out, n_in * k)).reshape(b, lo, n_in, k)
-    d_xp = np.zeros((b, n_in, lo + 2 * pad), dtype=x.dtype)
+    d_xp = np.zeros((b, lo + 2 * pad, n_in), dtype=x.dtype)
     for j in range(k):
-        d_xp[:, :, j:j + lo] += d_col[:, :, :, j].transpose(0, 2, 1)
-    d_x = d_xp[:, :, pad:pad + lo] if pad else d_xp
-    return d_x, d_kernels, d_bias
+        d_xp[:, j:j + lo] += d_col[:, :, :, j]
+    return d_xp[:, pad:pad + lo].transpose(0, 2, 1), d_kernels, d_bias
 
 
 # ---------------------------------------------------------------------------
@@ -136,62 +154,70 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
     first maximum wins, as in argmax. Outside training no argmax is
     computed and the cache's positions are empty.
 
-    Works by shifted slices: offset j of every window is the strided
-    slice xp[..., j::stride], so the pool is `kernel` elementwise steps
-    over whole arrays, and the slice clipping at the end of the input
-    is what shortens the trailing window. In training, step j sets a
-    window's argmax offset to max(offset, j * (sample > max so far)):
-    j exceeds every earlier offset, so a strictly greater sample moves
-    the offset to j and an equal one leaves the first maximum.
+    Works by shifted slices of the input in (B, L, C) order (a "same"
+    pool first copies it, edge rows included, into a (B, Lp, C) buffer):
+    offset j of every window is the strided slice xp[:, j::stride], so
+    the pool is `kernel` elementwise steps over whole (B, n, C) arrays,
+    and the slice clipping at the end of the input is what shortens the
+    trailing window. In training, step j sets a window's uint8 argmax
+    offset to max(offset, j * (sample > max so far)): j exceeds every
+    earlier offset, so a strictly greater sample moves the offset to j
+    and an equal one leaves the first maximum. The values, and the int64
+    positions of logical shape (B, C, n), are returned channels last.
     """
     x = _require_batch(x, "pool1d")
     if kernel < 1 or stride < 1:
         raise ShapeError(f"kernel and stride must be >= 1, got {kernel}, {stride}")
 
-    length = x.shape[2]
+    b, c, length = x.shape
+    xt = x.transpose(0, 2, 1)   # (B, L, C): a free view of a channels-last x
     if padding == "same":
         pad_left = (kernel - 1) // 2
-        xp = np.empty(x.shape[:2] + (length + kernel - 1,), dtype=x.dtype)
-        xp[:, :, pad_left:pad_left + length] = x
-        xp[:, :, :pad_left] = x[:, :, :1]
-        xp[:, :, pad_left + length:] = x[:, :, -1:]
+        xp = np.empty((b, length + kernel - 1, c), dtype=x.dtype)
+        xp[:, pad_left:pad_left + length] = xt
+        xp[:, :pad_left] = xt[:, :1]
+        xp[:, pad_left + length:] = xt[:, -1:]
     elif padding == "valid":
         if length < kernel:
             raise ShapeError(f"input length {length} shorter than pool kernel {kernel}")
         pad_left = 0
-        xp = x
+        xp = xt
     else:
         raise ConfigError(f"unknown padding {padding!r}")
 
-    lp = xp.shape[2]
+    lp = xp.shape[1]
     n_out = -(-min(lp, lp - kernel + stride) // stride)
     span = (n_out - 1) * stride + 1
-    vals = xp[:, :, 0:span:stride].copy()
+    vals = xp[:, 0:span:stride].copy()
     if training:
         offset = np.zeros(vals.shape, dtype=np.min_scalar_type(kernel - 1))
     for j in range(1, kernel):
-        shifted = xp[:, :, j:j + span:stride]
-        n = shifted.shape[2]
-        head = vals[:, :, :n]
+        shifted = xp[:, j:j + span:stride]
+        n = shifted.shape[1]
+        head = vals[:, :n]
         if training:
             moved = np.greater(shifted, head) * offset.dtype.type(j)
-            np.maximum(offset[:, :, :n], moved, out=offset[:, :, :n])
+            np.maximum(offset[:, :n], moved, out=offset[:, :n])
         np.maximum(head, shifted, out=head)
-    pos = offset + np.arange(n_out) * stride if training else np.empty(0, dtype=np.intp)
+    if training:
+        pos = (offset + (np.arange(n_out) * stride)[:, None]).transpose(0, 2, 1)
+    else:
+        pos = np.empty(0, dtype=np.intp)
 
     cache = LayerCache(positions=pos, pad_left=pad_left, in_length=length,
                        padded_length=lp)
-    return vals, cache
+    return vals.transpose(0, 2, 1), cache
 
 
 def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
     """Route each window's upstream gradient to its argmax sample.
 
-    One scatter-add over the flattened (B*C*Lp) padded gradient, at
-    index position + (b*C + c)*Lp. np.add.at adds in index order, which
-    is ascending window order within each row, so a sample that several
-    windows chose sums their gradients in window order. The pad columns
-    of a "same" pool are then folded onto the boundary samples.
+    One scatter-add over the flattened (B, Lp, C) padded gradient, at
+    index (b*Lp + position)*C + c, in (batch, window, channel) order.
+    np.add.at adds in index order, so a sample that several windows
+    chose sums their gradients in ascending window order. The pad rows
+    of a "same" pool are then folded onto the boundary samples. The
+    result is channels last in memory.
     """
     grad = np.asarray(grad)
     pos = cache.positions
@@ -201,20 +227,21 @@ def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
         raise ShapeError(f"upstream grad shape {grad.shape} != pooled shape {pos.shape}")
     b, c, _ = grad.shape
     lp = cache.padded_length
-    row_start = np.arange(0, b * c * lp, lp).reshape(b, c, 1)
-    d_xp = np.zeros(b * c * lp, dtype=grad.dtype)
-    np.add.at(d_xp, (pos + row_start).ravel(), grad.ravel())
-    d_xp = d_xp.reshape(b, c, lp)
+    base = np.arange(0, b * lp * c, lp * c).reshape(b, 1, 1) + np.arange(c)
+    index = pos.transpose(0, 2, 1) * c + base
+    d_xp = np.zeros(b * lp * c, dtype=grad.dtype)
+    np.add.at(d_xp, index.ravel(), grad.transpose(0, 2, 1).ravel())
+    d_xp = d_xp.reshape(b, lp, c)
 
     pad, length = cache.pad_left, cache.in_length
-    if lp == length:
-        return d_xp
-    # fold edge-replicated pad columns back onto the boundary samples; the
-    # sums read only pad columns, which lie outside the interior view
-    d_x = d_xp[:, :, pad:pad + length]
-    d_x[:, :, 0] += d_xp[:, :, :pad].sum(axis=2)
-    d_x[:, :, -1] += d_xp[:, :, pad + length:].sum(axis=2)
-    return d_x
+    if lp != length:
+        # fold edge-replicated pad rows back onto the boundary samples;
+        # the sums read only pad rows, which lie outside the interior view
+        d_x = d_xp[:, pad:pad + length]
+        d_x[:, 0] += d_xp[:, :pad].sum(axis=1)
+        d_x[:, -1] += d_xp[:, pad + length:].sum(axis=1)
+        d_xp = d_x
+    return d_xp.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,23 @@ class TestTrainCommand:
                             extra=["--blind-wells", "NOPE"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "data-section"])
+    def test_blind_validation_well_names_config_and_wells(self, tmp_path, data_csv,
+                                                          capsys, flag):
+        # the well is in the data file; naming it blind and validating on
+        # it is the configuration's fault, and the message says where
+        cfg = tmp_path / "val.cfg"
+        blind_key = "" if flag else "[data]\nblind_wells = SYNTH032\n"
+        cfg.write_text(blind_key + SMALL_MODEL_CFG
+                       + "validation_wells = SYNTH031, SYNTH032\n")
+        code, _ = run_train(tmp_path, data_csv, cfg,
+                            extra=["--blind-wells", "SYNTH032"] if flag else [])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(cfg) in err and "['SYNTH032']" in err
+        assert ("--blind-wells" if flag else "[data] blind_wells") in err
+        assert "not in data" not in err
+
 
 class TestPredictCommand:
     def test_predictions_csv_layout(self, tmp_path, data_csv, small_cfg):

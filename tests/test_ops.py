@@ -78,6 +78,23 @@ def pool1d_backward_scatter(grad, cache):
     return d_x
 
 
+LAYOUTS = ["c-order", "channels-last"]
+
+
+def in_layout(x, layout):
+    """A copy of the (B, C, L) batch x, C-order or channels last: a
+    C-contiguous (B, L, C) buffer seen as (B, C, L), the layout of every
+    activation model_forward makes."""
+    if layout == "c-order":
+        return np.ascontiguousarray(x)
+    return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def bits(a):
+    """The bytes of a in logical C order, whatever its memory layout."""
+    return np.ascontiguousarray(a).tobytes()
+
+
 def numeric_grad(f, x, h=1e-5):
     """Central-difference gradient of scalar f at x (float64)."""
     g = np.zeros_like(x)
@@ -228,31 +245,25 @@ def test_conv_bitwise_equals_padded_oracle(batch, shape, length, dtype):
     bias = rng.normal(size=n_out).astype(dtype)
     grad = rng.normal(size=(batch, n_out, length)).astype(dtype)
 
-    out = ops.conv1d(x, kernels, bias)
     expected = conv1d_padded_oracle(x, kernels, bias)
-    assert out.dtype == expected.dtype and out.shape == expected.shape
-    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
-    for got, want in zip(ops.conv1d_backward(grad, x, kernels),
-                         conv1d_backward_padded_oracle(grad, x, kernels)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    expected_grads = conv1d_backward_padded_oracle(grad, x, kernels)
+    for layout in LAYOUTS:
+        x_in, grad_in = in_layout(x, layout), in_layout(grad, layout)
+        out = ops.conv1d(x_in, kernels, bias)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert bits(out) == bits(expected), layout
+        for got, want in zip(ops.conv1d_backward(grad_in, x_in, kernels), expected_grads):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert bits(got) == bits(want), layout
 
 
 # ---------------------------------------------------------------------------
 # pool1d
 
-def tied_input(shape, channels_last=False):
-    """Post-ReLU float32 logs: runs of exact zeros and constant runs.
-
-    With channels_last the (B, C, L) batch lies in memory as (B, L, C),
-    as a conv1d output does.
-    """
+def tied_input(shape):
+    """Post-ReLU float32 logs: runs of exact zeros and constant runs."""
     b, c, length = shape
-    rng = np.random.default_rng(length)
-    if channels_last:
-        x = np.maximum(rng.normal(size=(b, length, c)), 0).astype(np.float32).transpose(0, 2, 1)
-    else:
-        x = np.maximum(rng.normal(size=shape), 0).astype(np.float32)
+    x = np.maximum(np.random.default_rng(length).normal(size=shape), 0).astype(np.float32)
     x[0, 0, 2:7] = 0.5
     x[1, 2, :] = 0.0
     x[1, 1, -4:] = 1.25
@@ -260,29 +271,27 @@ def tied_input(shape, channels_last=False):
 
 
 def _default_pool_cases():
-    """The default model's four training pools at batch 64, each input
-    in the memory layout model_forward hands it: channels last for the
-    stem's conv output and for the concat of each stage's branches,
-    channels first for the stage-0 pool output that stage 1 reads."""
+    """The default model's four training pools at batch 64."""
     spec = ModelSpec()
     lengths = spec.stage_lengths()
     cases = []
     for i, stage in enumerate(spec.stages):
         c_in = spec.stem_channels if i == 0 else spec.stages[i - 1].out_channels
         cases.append((f"s{i}.branch", network.BRANCH_POOL_KERNEL, 1, "same",
-                      (64, c_in, lengths[i]), i == 0))
+                      (64, c_in, lengths[i])))
         cases.append((f"s{i}.stage", network.POOL_KERNEL, network.POOL_STRIDE, "valid",
-                      (64, stage.out_channels, lengths[i]), True))
+                      (64, stage.out_channels, lengths[i])))
     return cases
 
 
 # pool shapes the tie tests run over, on (2, 3, L) tied inputs
 TIE_TABLE = [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid"), (2, 3, "valid")]
-# (id, kernel, stride, padding, input shape, channels_last): TIE_TABLE at
-# L = 12 and 13, then the default model's training pools
-TIE_CASES = [(f"{k}-{s}-{p}-{length}", k, s, p, (2, 3, length), False)
+# (id, kernel, stride, padding, input shape): TIE_TABLE at L = 12 and 13,
+# then the default model's training pools; each test runs every case on
+# a C-order and on a channels-last input
+TIE_CASES = [(f"{k}-{s}-{p}-{length}", k, s, p, (2, 3, length))
              for k, s, p in TIE_TABLE for length in (12, 13)] + _default_pool_cases()
-tie_cases = pytest.mark.parametrize("kernel, stride, padding, shape, channels_last",
+tie_cases = pytest.mark.parametrize("kernel, stride, padding, shape",
                                     [c[1:] for c in TIE_CASES], ids=[c[0] for c in TIE_CASES])
 
 
@@ -292,16 +301,43 @@ def test_default_pool_cases_match_model_forward(monkeypatch):
     pool1d = ops.pool1d
 
     def spy(x, *args, **kwargs):
-        seen.append((x.shape, x.strides))
+        seen.append((x.shape, *args, kwargs.get("padding", "valid")))
         return pool1d(x, *args, **kwargs)
 
     monkeypatch.setattr(ops, "pool1d", spy)
     batch = np.zeros((64, spec.in_channels, spec.window), dtype=np.float32)
     network.model_forward(spec, network.init_params(spec, 0), batch, training=True,
                           rng=np.random.default_rng(0))
-    cases = [tied_input(shape, channels_last) for *_, shape, channels_last
-             in _default_pool_cases()]
-    assert seen == [(x.shape, x.strides) for x in cases]
+    assert seen == [(shape, kernel, stride, padding)
+                    for _, kernel, stride, padding, shape in _default_pool_cases()]
+
+
+# (id, training, batch): model_forward as a training step and as inference
+LAYOUT_CASES = [("training-64", True, 64),
+                ("inference", False, network.INFERENCE_BATCH)]
+ACTIVATION_OPS = ("conv1d", "relu", "pool1d", "concat_channels")
+
+
+@pytest.mark.parametrize("training, batch", [c[1:] for c in LAYOUT_CASES],
+                         ids=[c[0] for c in LAYOUT_CASES])
+def test_every_activation_is_channels_last(monkeypatch, training, batch):
+    spec = ModelSpec()
+    made = []
+    for name in ACTIVATION_OPS:
+        def spy(*args, _op=getattr(ops, name), _name=name, **kwargs):
+            out = _op(*args, **kwargs)
+            made.append((_name, out[0] if _name == "pool1d" else out))
+            return out
+        monkeypatch.setattr(ops, name, spy)
+    batch = np.zeros((batch, spec.in_channels, spec.window), dtype=np.float32)
+    network.model_forward(spec, network.init_params(spec, 0), batch, training=training,
+                          rng=np.random.default_rng(0))
+    series = [(name, a) for name, a in made if a.ndim == 3]
+    # the stem's conv and ReLU, then per stage six conv and ReLU pairs,
+    # the branch pool, the concat and the stage pool
+    assert len(series) == 2 + 15 * len(spec.stages)
+    for name, a in series:
+        assert a.transpose(0, 2, 1).flags.c_contiguous, (name, a.shape, a.strides)
 
 
 class TestPool1d:
@@ -349,22 +385,25 @@ class TestPool1d:
         np.testing.assert_array_equal(cache.positions[0], [[1, 4, 7, 10]])
 
     @tie_cases
-    def test_ties_pick_first_maximum(self, kernel, stride, padding, shape, channels_last):
-        x = tied_input(shape, channels_last)
-        vals, cache = ops.pool1d(x, kernel, stride, padding, training=True)
+    def test_ties_pick_first_maximum(self, kernel, stride, padding, shape):
+        x = tied_input(shape)
         want_vals, want_pos = pool1d_loops(x, kernel, stride, padding)
-        np.testing.assert_array_equal(vals, want_vals)
-        np.testing.assert_array_equal(cache.positions, want_pos)
+        for layout in LAYOUTS:
+            vals, cache = ops.pool1d(in_layout(x, layout), kernel, stride, padding,
+                                     training=True)
+            assert vals.dtype == want_vals.dtype and bits(vals) == bits(want_vals), layout
+            assert cache.positions.dtype == np.int64
+            np.testing.assert_array_equal(cache.positions, want_pos)
 
     @tie_cases
-    def test_inference_values_equal_training_values(self, kernel, stride, padding, shape,
-                                                     channels_last):
-        x = tied_input(shape, channels_last)
-        trained, _ = ops.pool1d(x, kernel, stride, padding, training=True)
-        inferred, cache = ops.pool1d(x, kernel, stride, padding)
-        assert inferred.dtype == trained.dtype
-        np.testing.assert_array_equal(inferred.view(np.int32), trained.view(np.int32))
-        assert cache.positions.size == 0
+    def test_inference_values_equal_training_values(self, kernel, stride, padding, shape):
+        for layout in LAYOUTS:
+            x = in_layout(tied_input(shape), layout)
+            trained, _ = ops.pool1d(x, kernel, stride, padding, training=True)
+            inferred, cache = ops.pool1d(x, kernel, stride, padding)
+            assert inferred.dtype == trained.dtype
+            assert bits(inferred) == bits(trained), layout
+            assert cache.positions.size == 0
 
     def test_backward_needs_a_training_cache(self):
         x = tied_input((2, 3, 12))
@@ -373,19 +412,19 @@ class TestPool1d:
             ops.pool1d_backward(np.ones_like(out), cache)
 
     @tie_cases
-    def test_backward_bitwise_equals_scatter_add(self, kernel, stride, padding, shape,
-                                                 channels_last):
+    def test_backward_bitwise_equals_scatter_add(self, kernel, stride, padding, shape):
         # gradients over eight decades, so a different summation order
         # on a sample that several windows chose rounds differently
-        x = tied_input(shape, channels_last)
-        _, cache = ops.pool1d(x, kernel, stride, padding, training=True)
-        rng = np.random.default_rng(shape[-1] + kernel)
-        up = (rng.normal(size=cache.positions.shape)
-              * 10.0 ** rng.uniform(-4, 4, size=cache.positions.shape)).astype(np.float32)
-        got = ops.pool1d_backward(up, cache)
-        want = pool1d_backward_scatter(up, cache)
-        assert got.dtype == np.float32
-        np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+        for layout in LAYOUTS:
+            _, cache = ops.pool1d(in_layout(tied_input(shape), layout), kernel, stride,
+                                  padding, training=True)
+            rng = np.random.default_rng(shape[-1] + kernel)
+            up = (rng.normal(size=cache.positions.shape)
+                  * 10.0 ** rng.uniform(-4, 4, size=cache.positions.shape)).astype(np.float32)
+            want = pool1d_backward_scatter(up, cache)
+            got = ops.pool1d_backward(in_layout(up, layout), cache)
+            assert got.dtype == np.float32
+            assert bits(got) == bits(want), layout
 
     @pytest.mark.parametrize("kernel,stride,padding", [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid")])
     def test_gradients_match_finite_differences(self, kernel, stride, padding):

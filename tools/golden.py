@@ -20,7 +20,9 @@ unless the environment says otherwise. Needs only numpy.
 
 --json prints the hashes as golden.json holds them, together with the
 fingerprint of the environment that made them (numpy version, BLAS
-library and version, CPU model, machine):
+library and version, the BLAS's run-time configuration with the CPU
+kernel set it chose, CPU model, machine) and the per-epoch train_loss
+of the default.fnet run's report.csv:
 
     python3 tools/golden.py --json > tools/golden.json
 """
@@ -28,6 +30,7 @@ library and version, CPU model, machine):
 import argparse
 import ast
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -59,14 +62,19 @@ def small_model_cfg(root: Path) -> str:
 def fingerprint() -> dict:
     """What the golden bytes may depend on besides the source."""
     import numpy as np
-    from run import cpu_model  # perfbench's, so BENCH files name the CPU alike
+    # perfbench's, so BENCH files name the CPU and the BLAS alike
+    from run import cpu_model
+    from worker import blas_runtime
 
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
         blas = {}
+    # the CPU string is generic on VMs; OpenBLAS's configuration names the
+    # kernel set it picked at run time, which OPENBLAS_CORETYPE can change
     return {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
-            "blas_version": blas.get("version", "unknown"), "cpu": cpu_model(),
+            "blas_version": blas.get("version", "unknown"),
+            "blas_config": blas_runtime()["config"], "cpu": cpu_model(),
             "machine": platform.machine()}
 
 
@@ -114,8 +122,11 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
         hashes = {name: sha256(path) for name, path in artefacts(root, Path(tmp))}
+        with open(Path(tmp) / "default" / "report.csv", newline="") as fh:
+            train_loss = [float(row["train_loss"]) for row in csv.DictReader(fh)]
     if args.json:
-        print(json.dumps({"fingerprint": fingerprint(), "sha256": hashes}, indent=2))
+        print(json.dumps({"fingerprint": fingerprint(), "sha256": hashes,
+                          "train_loss": train_loss}, indent=2))
     else:
         for name, digest in hashes.items():
             print(f"{digest}  {name}")
