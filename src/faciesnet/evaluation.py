@@ -17,9 +17,9 @@ import numpy as np
 
 from . import ops
 from .errors import DataFormatError, NumericError, ShapeError
-from .network import INFERENCE_BATCH, Checkpoint, model_forward
+from .network import Checkpoint, model_forward
 from .welldata import (FACIES_CODES, N_FACIES, FaciesTable, Well,
-                       _window_view, apply_standardizer)
+                       apply_standardizer, window_matrix)
 
 CONFIDENCE_HIGH = 0.7
 CONFIDENCE_LOW = 0.5
@@ -202,30 +202,24 @@ def confidence_band(confidence: float) -> str:
 
 
 def predict_with_confidence(model: Checkpoint, well: Well) -> PredictionSeries:
-    """One prediction per depth sample via centered windows, run through
-    the model in chunks of INFERENCE_BATCH windows; each chunk is copied
-    out of a view of the padded logs, so no whole-well window matrix is
-    built.
+    """One prediction per depth sample: one model_forward pass over the
+    well's window_matrix view, one centered window per sample, then a
+    float64 softmax.
 
     Confidence is the winning softmax probability, annotated with the
     high (>= 0.7) / medium / low (< 0.5) band. A forward pass that
     overflows float range, or makes a NaN from an infinity, raises
-    NumericError naming the well, as non-finite logits do; numpy's
-    floating-point warnings are raised there rather than printed. A
+    NumericError naming the well, as non-finite logits do. A
     standardized log value float32 cannot hold raises DataFormatError
     naming the well, the channel and the depth.
     """
-    scaled = apply_standardizer(model.standardizer, well)
-    windows = _window_view(scaled, model.spec.window)
-    probs = np.empty((len(windows), N_FACIES))
-    for start in range(0, len(windows), INFERENCE_BATCH):
-        chunk = np.ascontiguousarray(windows[start:start + INFERENCE_BATCH])
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                logits, _ = model_forward(model.spec, model.params, chunk)
-                probs[start:start + len(chunk)] = ops.softmax(logits.astype(np.float64))
-        except (NumericError, FloatingPointError) as exc:
-            raise NumericError(f"well {well.name}: {exc}") from exc
+    windows = window_matrix(apply_standardizer(model.standardizer, well),
+                            model.spec.window)
+    try:
+        logits, _ = model_forward(model.spec, model.params, windows)
+        probs = ops.softmax(logits.astype(np.float64))
+    except NumericError as exc:
+        raise NumericError(f"well {well.name}: {exc}") from exc
     facies = probs.argmax(axis=1).astype(np.int64) + 1
     confidence = probs.max(axis=1)
     bands = [confidence_band(c) for c in confidence]

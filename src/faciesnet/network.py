@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, DataFormatError, ShapeError, check_rules
+from .errors import ConfigError, DataFormatError, NumericError, ShapeError, check_rules
 from .welldata import CHANNELS, N_FACIES, Standardizer
 
 CHECKPOINT_MAGIC = "#fnet v1"
@@ -241,13 +241,18 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
                   training: bool = False,
                   rng: Optional[np.random.Generator] = None,
                   ) -> tuple[np.ndarray, Optional[dict]]:
-    """Full forward pass on a (B, C, W) batch; returns (logits, caches).
+    """Full forward pass on a (B, C, W) batch, which may be a view such as
+    welldata.window_matrix's; returns (logits, caches).
 
     Only training mode records what model_backward needs: dropout fires,
     drawing its masks from `rng`, the pools record their argmax, and
     every layer's cache is returned. Outside training the caches are
-    None, and each layer's intermediates are freed once the next layer
-    has read its output.
+    None, each layer's intermediates are freed once the next layer has
+    read its output, and a batch of more than INFERENCE_BATCH windows
+    runs INFERENCE_BATCH at a time, one model_forward call per chunk.
+    A pass that overflows float range, or makes a NaN from an infinity,
+    raises NumericError: numpy's floating-point warnings are raised
+    here rather than printed.
     """
     x = np.asarray(batch)
     if x.ndim != 3:
@@ -257,7 +262,19 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
                          f"({spec.in_channels}, {spec.window})")
     if training and spec.dropout > 0 and rng is None:
         raise ConfigError("training-mode forward with dropout needs an rng")
+    if not training and len(x) > INFERENCE_BATCH:
+        return np.concatenate([model_forward(spec, params, x[i:i + INFERENCE_BATCH])[0]
+                               for i in range(0, len(x), INFERENCE_BATCH)]), None
 
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _forward(spec, params, x, training, rng)
+    except FloatingPointError as exc:
+        raise NumericError(str(exc)) from exc
+
+
+def _forward(spec, params, x, training, rng):
+    """model_forward's layers, run on one checked batch."""
     caches = {"stem": None, "stages": [], "head": []}
     if spec.stem_kernel:
         x, caches["stem"] = _conv_relu(params, "stem", x, training)

@@ -370,6 +370,7 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray,
     if labels.min() < 0 or labels.max() >= f:
         raise ShapeError(f"labels must lie in [0, {f - 1}]")
 
+    d_logits = softmax(z)  # first: non-finite logits raise before any arithmetic
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     log_p_true = z[np.arange(b), labels] - lse
@@ -377,7 +378,6 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray,
         np.asarray(class_weights, dtype=z.dtype)[labels]
     loss = float(np.mean(-w * log_p_true))
 
-    d_logits = softmax(z)
     d_logits[np.arange(b), labels] -= 1.0
     d_logits *= (w / b)[:, None]
     return loss, d_logits

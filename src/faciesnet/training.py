@@ -17,8 +17,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, NumericError, ShapeError, check_rules
 from .evaluation import confusion, precision_recall_f1
-from .network import (INFERENCE_BATCH, Checkpoint, ModelSpec, init_params,
-                      model_backward, model_forward)
+from .network import Checkpoint, ModelSpec, init_params, model_backward, model_forward
 from .welldata import (N_FACIES, apply_standardizer, extract_windows,
                        facies_counts, fit_standardizer, merge_window_sets,
                        split_by_well)
@@ -147,18 +146,10 @@ def sgd_step(params: dict, grads: dict, velocity: dict,
 def _validate(spec, params, windows, labels):
     """Inference-mode loss and macro-F1 on a held-out window set."""
     labels = np.asarray(labels)
-    total_loss, preds = 0.0, []
-    for start in range(0, len(windows), INFERENCE_BATCH):
-        x = windows[start:start + INFERENCE_BATCH]
-        y = labels[start:start + INFERENCE_BATCH]
-        with np.errstate(over="raise", invalid="raise"):
-            logits, _ = model_forward(spec, params, x)
-            loss, _ = ops.softmax_xent(logits, y - 1)
-        total_loss += loss * len(x)
-        preds.append(logits.argmax(axis=1) + 1)
-    preds = np.concatenate(preds)
-    prf = precision_recall_f1(confusion(labels, preds))
-    return total_loss / len(windows), prf.macro_f1
+    logits, _ = model_forward(spec, params, windows)
+    loss, _ = ops.softmax_xent(logits, labels - 1)
+    prf = precision_recall_f1(confusion(labels, logits.argmax(axis=1) + 1))
+    return loss, prf.macro_f1
 
 
 def train_on_windows(config: TrainConfig, windows, labels,
@@ -172,12 +163,10 @@ def train_on_windows(config: TrainConfig, windows, labels,
     and tracks the best validation macro-F1 snapshot when a validation
     set is given; otherwise the final parameters win. train_acc rows
     are running accuracies from the training-mode (dropout-active)
-    forward passes. A NumericError (non-finite logits: the run
-    diverged) is re-raised naming the epoch, and the batch of a training
-    step. A forward pass that overflows float range, or makes a NaN
-    from an infinity, is that error at once: numpy's floating-point
-    warnings are raised there rather than printed, and the backward
-    pass never sees the infinities.
+    forward passes. A NumericError (the run diverged: a forward pass
+    overflowed, or its logits are not finite) is re-raised naming the
+    epoch, and the batch of a training step; the backward pass never
+    sees the infinities.
     """
     windows = np.asarray(windows)
     labels = np.asarray(labels)
@@ -203,10 +192,9 @@ def train_on_windows(config: TrainConfig, windows, labels,
             idx = perm[start:start + config.batch_size]
             x, y = windows[idx], labels[idx]
             try:
-                with np.errstate(over="raise", invalid="raise"):
-                    logits, caches = model_forward(spec, params, x, training=True, rng=rng)
-                    loss, d_logits = ops.softmax_xent(logits, y - 1, class_weights)
-            except (NumericError, FloatingPointError) as exc:
+                logits, caches = model_forward(spec, params, x, training=True, rng=rng)
+                loss, d_logits = ops.softmax_xent(logits, y - 1, class_weights)
+            except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {batch}: {exc}") from exc
             grads = model_backward(spec, params, caches, d_logits)
             sgd_step(params, grads, velocity, lr, config.momentum)
@@ -219,7 +207,7 @@ def train_on_windows(config: TrainConfig, windows, labels,
             try:
                 row.val_loss, row.val_macro_f1 = _validate(spec, params,
                                                            val_windows, val_labels)
-            except (NumericError, FloatingPointError) as exc:
+            except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, validation: {exc}") from exc
             if row.val_macro_f1 > best_f1:
                 best_f1 = row.val_macro_f1

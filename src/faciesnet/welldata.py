@@ -146,11 +146,11 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
     and not read. Rows are grouped by well name and depth-sorted; empty
     and `nan` numeric cells become NaN gaps (in Facies, unlabeled
     samples). A numeric cell is any text `float()` reads. Non-UTF-8
-    bytes, a row shorter than the header, an infinite value, a log value
-    outside the float32 range, a Facies cell that is not an integer
-    facies id 1..9, a depth repeated within a well and a file without
-    data rows raise DataFormatError naming the file and the row (both
-    rows for a repeated depth).
+    bytes, a row shorter than the header, a blank Well Name, an infinite
+    value, a log value outside the float32 range, a Facies cell that is
+    not an integer facies id 1..9, a depth repeated within a well and a
+    file without data rows raise DataFormatError naming the file and the
+    row (both rows for a repeated depth).
 
     Cells are converted a block of rows and a column at a time; a block
     holding any cell the column checks reject is read again cell by
@@ -248,7 +248,8 @@ def _row_blocks(reader):
 
 def _convert_columns(col, width, rows):
     """The (len(_NUMERIC_FIELDS), len(rows)) float64 values of a block,
-    or None when a row is short or a cell fails a check.
+    or None when a row is short, a Well Name is blank or a cell fails a
+    check.
 
     numpy converts a str with float(), so a column converts exactly as
     _parse_row's cells do; a blank cell, after strip, is a gap.
@@ -256,6 +257,8 @@ def _convert_columns(col, width, rows):
     if min(map(len, rows)) < width:
         return None
     cells = list(zip(*rows))
+    if not all(map(str.strip, cells[col["Well Name"]])):
+        return None
     values = np.full((len(_NUMERIC_FIELDS), len(rows)), np.nan)
     for i, name in enumerate(_NUMERIC_FIELDS):
         if name not in col:
@@ -290,6 +293,8 @@ def _parse_row(path, col, width, row_no, row) -> tuple:
         raise DataFormatError(f"{path}: row {row_no}: {len(row)} cells for "
                               f"{width} header columns")
     well_name = row[col["Well Name"]].strip()
+    if not well_name:
+        raise DataFormatError(f"{path}: row {row_no}: missing Well Name")
 
     def cell(name):
         idx = col.get(name)
@@ -412,20 +417,13 @@ class WindowSet:
 
 
 def window_matrix(well: Well, width: int) -> np.ndarray:
-    """Centered float32 windows for every sample: (n_samples, 7, width).
+    """Centered float32 windows for every sample: a read-only
+    (n_samples, 7, width) view of one edge-padded float32 copy of the logs.
 
     Boundary windows replicate the well's edge samples, so no window
-    ever borrows data from another well.
-    """
-    return np.ascontiguousarray(_window_view(well, width))
-
-
-def _window_view(well: Well, width: int) -> np.ndarray:
-    """window_matrix's windows as an (n_samples, 7, width) view of the
-    edge-padded float32 logs, so a caller can copy out a few at a time.
-
-    Raises DataFormatError for gaps, and for a value float32 cannot
-    hold, naming the well, the channel and the depth.
+    ever borrows data from another well. Raises DataFormatError for
+    gaps, and for a value float32 cannot hold, naming the well, the
+    channel and the depth.
     """
     if width < 1 or width % 2 == 0:
         raise ConfigError(f"window length must be odd and >= 1, got {width}")
@@ -459,13 +457,13 @@ def extract_windows(well: Well, width: int) -> WindowSet:
 
 
 def merge_window_sets(sets: list) -> WindowSet:
-    """Concatenate window sets from several wells."""
+    """Concatenate window sets from several wells: one copy into a
+    C-contiguous matrix (concatenate alone keeps the views' layout)."""
     if not sets:
         raise ConfigError("no window sets to merge")
-    return WindowSet(
-        np.concatenate([s.windows for s in sets]),
-        np.concatenate([s.labels for s in sets]),
-    )
+    windows = np.empty((sum(map(len, sets)), *sets[0].windows.shape[1:]), np.float32)
+    return WindowSet(np.concatenate([s.windows for s in sets], out=windows),
+                     np.concatenate([s.labels for s in sets]))
 
 
 def split_by_well(wells: list, blind_names: list,

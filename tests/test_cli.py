@@ -602,6 +602,8 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
     ("csv-facies-12", EVALUATE, "data", _first_row_cell(0, b"12"), 3, ("{bad}", "row 2")),
     ("csv-depth-repeated", EVALUATE, "data", _repeat_first_row, 3,
      ("{bad}", "rows 2 and 3")),
+    ("csv-well-name-blank", TRAIN, "data", _first_row_cell(2, b" "), 3,
+     ("{bad}: row 2: missing Well Name",)),
     ("train-diverges", TRAIN, "config", lambda raw: raw + b"learning_rate = 1e6\n", 3,
      ("numeric failure", "epoch 1, batch ")),
     ("all-blind-missing-pe", ALL_BLIND, None, None, 2,

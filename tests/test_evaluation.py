@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from faciesnet import evaluation
+from faciesnet import evaluation, network
 from faciesnet.errors import DataFormatError, ShapeError
 from faciesnet.evaluation import (ConfusionMatrix, accuracy, adjacent_accuracy,
                                   confidence_band, confusion, evaluate,
@@ -260,7 +260,7 @@ class TestPredictWithConfidence:
         model = tiny_checkpoint()
         well = labeled_well(33, seed=3)
         b = predict_with_confidence(model, well)
-        monkeypatch.setattr(evaluation, "INFERENCE_BATCH", 4)
+        monkeypatch.setattr(network, "INFERENCE_BATCH", 4)
         a = predict_with_confidence(model, well)
         assert np.array_equal(a.facies, b.facies)
         np.testing.assert_allclose(a.probs, b.probs, rtol=1e-4, atol=1e-7)
@@ -281,8 +281,8 @@ class TestPredictWithConfidence:
         assert series.bands == [confidence_band(c) for c in series.confidence]
 
     def test_chunks_cut_from_the_view_equal_the_window_matrix(self):
-        # one chunk boundary inside the well: each chunk of windows is
-        # copied out on its own, as the same bits the whole matrix holds
+        # one chunk boundary inside the well: the whole-well pass gives
+        # the bits of one model_forward and softmax per chunk
         model = tiny_checkpoint()
         well = labeled_well(INFERENCE_BATCH + 37, seed=7)
         windows = window_matrix(apply_standardizer(model.standardizer, well),

@@ -1,11 +1,14 @@
-"""The fixed-seed artefacts against their committed sha256s and loss curve.
+"""The fixed-seed artefacts against their committed sha256s, loss curve
+and predicted probabilities.
 
 tools/golden.json holds the hashes `python3 tools/golden.py` prints, the
-fingerprint of the environment that made them, and the per-epoch
-train_loss of its 3-epoch default-model run. On a matching fingerprint
-every hash must be exact. Another numpy, BLAS kernel set or CPU may
-round float32 sums differently, so on any other fingerprint the bytes
-may differ but the loss curve must agree within TRAIN_LOSS_RTOL.
+fingerprint of the environment that made them, the per-epoch train_loss
+of its 3-epoch default-model run and the p1..p9 of every 100th
+predictions.csv row. On a matching fingerprint every hash must be
+exact. Another numpy, BLAS kernel set or CPU may round float32 sums
+differently, so on any other fingerprint the bytes may differ but the
+loss curve must agree within TRAIN_LOSS_RTOL and the probabilities
+within PROBS_ATOL: the first sees training, the second inference.
 Regenerate the file with `python3 tools/golden.py --json > tools/golden.json`.
 """
 
@@ -24,6 +27,10 @@ TOOLS = ROOT / "tools"
 # The OpenBLAS Haswell and SkylakeX kernels agree to 1e-8 on epochs 1-2
 # and differ by 7.1e-4 (relative) on epoch 3; 5e-3 leaves a 7x margin.
 TRAIN_LOSS_RTOL = 5e-3
+# Under the OpenBLAS Haswell kernels the sampled probabilities differ by
+# at most 4.2e-6 (7.7e-6 over all 2000 rows, none of which changes
+# facies); 1e-4 leaves a 24x margin.
+PROBS_ATOL = 1e-4
 
 
 def test_golden_outputs_match_committed_hashes():
@@ -37,6 +44,7 @@ def test_golden_outputs_match_committed_hashes():
         assert current["sha256"] == stored["sha256"]
     np.testing.assert_allclose(current["train_loss"], stored["train_loss"],
                                rtol=TRAIN_LOSS_RTOL)
+    np.testing.assert_allclose(current["probs"], stored["probs"], rtol=0, atol=PROBS_ATOL)
 
 
 # prints the fingerprint golden.py records and the bits of a float32

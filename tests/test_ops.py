@@ -1,6 +1,8 @@
 """Kernel-level tests: hand-derived values, brute-force oracles, and
 finite-difference gradient checks for every layer type."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -637,6 +639,14 @@ class TestSoftmaxXent:
         _, d = ops.softmax_xent(logits, labels, w)
         num = numeric_grad(lambda z: ops.softmax_xent(z, labels, w)[0], logits.copy())
         assert rel_err(d, num) < 1e-4
+
+    def test_non_finite_logits_raise_before_any_warning(self):
+        # the training step calls the loss outside any np.errstate; an
+        # inf logit's log-sum-exp (inf - inf) would warn before the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                ops.softmax_xent(np.array([[0.0, np.inf, 1.0]]), np.array([0]))
 
 
 @pytest.mark.parametrize("call", [

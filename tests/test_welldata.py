@@ -151,7 +151,7 @@ class TestParseCsv:
 CELL_TEXTS = ["1_000", " 1.5 ", "+2", "1e-400", "١٢", "3", "-0.0",
               "0x10", "1e", "1,5", "nan(1)",
               "", "  ", "nan", "-nan", "Infinity", "-inf", "1e300", "3.5e38"]
-CELL_COLUMNS = {"Depth": 3, "PE": 8, "Facies": 0}
+CELL_COLUMNS = {"Depth": 3, "PE": 8, "Facies": 0, "Well Name": 2}
 
 
 def _parse_outcome(path):
@@ -204,15 +204,21 @@ def test_clean_blocks_are_read_by_columns(tmp_path, monkeypatch):
     assert [np.flatnonzero(np.isnan(w.channels["PE"])).tolist() for w in wells] == [[2], [9]]
 
 
-@pytest.mark.parametrize("faults", [(), (4,), (9, 4), (13,), (7, 8)])
+# (column, text) of the first, second and third fault: a non-numeric GR,
+# an infinite ILD_log10, a blank Well Name
+FAULTS = ((4, "oops"), (5, "inf"), (2, " "))
+
+
+@pytest.mark.parametrize("faults", [(), (4,), (9, 4), (13,), (7, 8), (11, 12, 5),
+                                    (5, 8, 11)])
 def test_first_fault_in_file_order_across_blocks(tmp_path, monkeypatch, faults):
     # blocks of 3 rows; bad cells in data rows `faults` (1-based), wells
     # interleaved, so each message must name the first bad row in the file
     p = tmp_path / "a.csv"
     rows = [f"{1 + i % 9},F,W{i % 2},{float(i)!r},1,2,3,4,5,6,0.5" for i in range(14)]
-    for i, r in enumerate(faults):
+    for (column, text), r in zip(FAULTS, faults):
         cells = rows[r - 1].split(",")
-        cells[4 + i] = "oops" if i == 0 else "inf"
+        cells[column] = text
         rows[r - 1] = ",".join(cells)
     write_rows(p, rows)
     monkeypatch.setattr(wd, "_BLOCK_ROWS", 3)
@@ -329,6 +335,18 @@ class TestWindows:
         np.testing.assert_array_equal(merged.labels, np.concatenate([a.labels, b.labels]))
         logs_a = a.channel_matrix()
         np.testing.assert_allclose(merged.windows[3, :, 2], logs_a[:, 3], rtol=1e-6)
+
+    def test_window_matrix_is_a_read_only_view_of_the_padded_logs(self):
+        w = make_well(n=6)
+        windows = wd.window_matrix(w, 5)
+        assert not windows.flags.writeable
+        padded = np.pad(w.channel_matrix().astype(np.float32), ((0, 0), (2, 2)), mode="edge")
+        expected = np.stack([padded[:, i:i + 5] for i in range(6)])
+        assert windows.shape == expected.shape and windows.dtype == np.float32
+        assert windows.tobytes() == expected.tobytes()
+        merged = wd.merge_window_sets([wd.extract_windows(w, 5)]).windows
+        assert merged.flags.c_contiguous and merged.flags.writeable
+        assert merged.tobytes() == expected.tobytes()
 
     def test_value_outside_float32_names_well_channel_depth(self):
         w = make_well("BIG", n=5)

@@ -21,8 +21,9 @@ unless the environment says otherwise. Needs only numpy.
 --json prints the hashes as golden.json holds them, together with the
 fingerprint of the environment that made them (numpy version, BLAS
 library and version, the BLAS's run-time configuration with the CPU
-kernel set it chose, CPU model, machine) and the per-epoch train_loss
-of the default.fnet run's report.csv:
+kernel set it chose, CPU model, machine), the per-epoch train_loss
+of the default.fnet run's report.csv and the p1..p9 probabilities of
+every PROBS_EVERY-th row of predictions.csv:
 
     python3 tools/golden.py --json > tools/golden.json
 """
@@ -46,6 +47,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 EVALUATE_FILES = ("facies_column.csv", "confusion.csv", "facies_counts.csv",
                   "metrics.json")
+PROBS_EVERY = 100  # predictions.csv rows 0, 100, ..., 1900 of the 2000-sample well
 
 
 def small_model_cfg(root: Path) -> str:
@@ -124,9 +126,12 @@ def main(argv=None) -> int:
         hashes = {name: sha256(path) for name, path in artefacts(root, Path(tmp))}
         with open(Path(tmp) / "default" / "report.csv", newline="") as fh:
             train_loss = [float(row["train_loss"]) for row in csv.DictReader(fh)]
+        with open(Path(tmp) / "predict" / "predictions.csv", newline="") as fh:
+            probs = [[float(row[f"p{f}"]) for f in range(1, 10)]
+                     for row in list(csv.DictReader(fh))[::PROBS_EVERY]]
     if args.json:
         print(json.dumps({"fingerprint": fingerprint(), "sha256": hashes,
-                          "train_loss": train_loss}, indent=2))
+                          "train_loss": train_loss, "probs": probs}, indent=2))
     else:
         for name, digest in hashes.items():
             print(f"{digest}  {name}")
