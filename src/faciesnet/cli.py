@@ -110,7 +110,7 @@ def _read_values(path) -> tuple[dict, list]:
     and one message per unknown section or key and unparseable value."""
     parser = configparser.ConfigParser(strict=True)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
         # reading a value interpolates it, which can fail too
         sections = {name: dict(parser[name]) for name in parser.sections()}
@@ -211,7 +211,7 @@ def _load_model_and_wells(args, cfg):
     if blind:
         _, wells = split_by_well(wells, list(blind))
     if allow_pe:
-        wells = impute_pe(wells, model.standardizer.mean["PE"])
+        wells = impute_pe(wells, model.standardizer)
     return model, wells
 
 
@@ -259,7 +259,7 @@ def cmd_train(args) -> int:
         # train fits on; with none, train reports that
         fitted = [w for w in wells if w.name not in cfg.training.validation_wells]
         if fitted:
-            wells = impute_pe(wells, fit_standardizer(fitted).mean["PE"])
+            wells = impute_pe(wells, fit_standardizer(fitted))
 
     checkpoint, report = train(cfg.training, wells, spec=cfg.model)
     out = _out_dir(args)

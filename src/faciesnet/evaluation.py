@@ -39,9 +39,6 @@ class ConfusionMatrix:
             raise ShapeError("confusion matrix counts must be >= 0")
         self.counts = counts
 
-    def count(self, true_facies: int, predicted_facies: int) -> int:
-        return int(self.counts[true_facies - 1, predicted_facies - 1])
-
     @property
     def support(self) -> np.ndarray:
         """Samples per true class (row sums)."""

@@ -405,8 +405,10 @@ def save_checkpoint(spec: ModelSpec, params: dict, standardizer: Standardizer,
     shapes = param_shapes(spec)
     lines = [CHECKPOINT_MAGIC, f"seed = {seed}"]
     lines += _spec_lines(spec)
-    for c in CHANNELS:
-        lines.append(f"std.{c} = {standardizer.mean[c]!r} {standardizer.std[c]!r}")
+    # Python floats: numpy 2 would write a float64 as np.float64(...)
+    for c, mu, sigma in zip(CHANNELS, standardizer.mean.tolist(),
+                            standardizer.std.tolist()):
+        lines.append(f"std.{c} = {mu!r} {sigma!r}")
     for name, shape in shapes.items():
         if params[name].shape != shape:
             raise ShapeError(f"param {name} has shape {params[name].shape}, "
@@ -453,10 +455,10 @@ def load_checkpoint(path) -> "Checkpoint":
 
     seed = get("seed", int)
     spec = _spec_from_manifest(path, get)
-    mean, std = {}, {}
-    for c in CHANNELS:
-        mean[c], std[c] = get(f"std.{c}", _fields(float, 2))
-        if not (np.isfinite(mean[c]) and np.isfinite(std[c]) and std[c] > 0):
+    mean, std = np.empty(len(CHANNELS)), np.empty(len(CHANNELS))
+    for k, c in enumerate(CHANNELS):
+        mean[k], std[k] = get(f"std.{c}", _fields(float, 2))
+        if not (np.isfinite(mean[k]) and np.isfinite(std[k]) and std[k] > 0):
             raise DataFormatError(f"{path}: manifest 'std.{c}' needs a finite "
                                   f"mean and a finite std > 0, got {kv[f'std.{c}']!r}")
 

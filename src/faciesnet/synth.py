@@ -65,10 +65,8 @@ def generate_well(config: SynthConfig) -> Well:
     if config.sigma > 0:
         values = values + config.sigma * rng.standard_normal(values.shape)
     depth = DEPTH_START + DEPTH_STEP * np.arange(n, dtype=float)
-    channels = {c: values[j].copy() for j, c in enumerate(CHANNELS)}
-    labels = states + 1
     return Well(name=f"SYNTH{config.seed:03d}", depth=depth,
-                channels=channels, labels=labels)
+                channels=np.ascontiguousarray(values), labels=states + 1)
 
 
 def generate_wells(config: SynthConfig, n_wells: int) -> list:

@@ -8,10 +8,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, MissingLabelsError, ShapeError
+from .errors import ConfigError, DataFormatError, MissingLabelsError
 
-# Canonical channel order; every window is a (7, W) block in this order.
+# Canonical channel order: the rows of a well's logs, and of every
+# (7, W) window, in this order.
 CHANNELS = ("GR", "ILD_log10", "DeltaPHI", "PHIND", "PE", "NM_M", "RELPOS")
+PE = CHANNELS.index("PE")  # the row --allow-missing-pe fills
 
 N_FACIES = 9
 FACIES_CODES = ("SS", "CSiS", "FSiS", "SiSh", "MS", "WS", "D", "PS", "BS")
@@ -71,7 +73,7 @@ def load_adjacency(path) -> FaciesTable:
         return f
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: adjacency file is not UTF-8 text")
@@ -94,19 +96,19 @@ def load_adjacency(path) -> FaciesTable:
 
 @dataclass
 class Well:
-    """One well: depth-sorted log channels plus optional facies labels."""
+    """One well: depth-sorted logs plus optional facies labels."""
 
     name: str
     depth: np.ndarray
-    channels: dict                       # channel name -> float64 vector
+    channels: np.ndarray                 # (len(CHANNELS), n) float64 logs, CHANNELS order
     labels: Optional[np.ndarray] = None  # facies ids 1..9, or None
 
     def __post_init__(self):
         n = len(self.depth)
-        for ch, values in self.channels.items():
-            if len(values) != n:
-                raise DataFormatError(f"well {self.name}: channel {ch} has {len(values)} "
-                                      f"values for {n} depths")
+        if np.shape(self.channels) != (len(CHANNELS), n):
+            raise DataFormatError(f"well {self.name}: logs of shape "
+                                  f"{np.shape(self.channels)} for {len(CHANNELS)} "
+                                  f"channels and {n} depths")
         if self.labels is not None:
             if len(self.labels) != n:
                 raise DataFormatError(f"well {self.name}: {len(self.labels)} labels "
@@ -118,10 +120,6 @@ class Well:
 
     def __len__(self) -> int:
         return len(self.depth)
-
-    def channel_matrix(self) -> np.ndarray:
-        """Channels stacked in canonical order: shape (7, n_samples)."""
-        return np.stack([self.channels[c] for c in CHANNELS])
 
 
 def _utf8_error(path) -> DataFormatError:
@@ -175,7 +173,7 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
             raise DataFormatError(f"{path}: rows {first} and {second}: well {name}: "
                                   f"depth {float(depth[i])!r} repeated, so depth is not "
                                   f"strictly increasing")
-        channels = {c: values[1 + k, order] for k, c in enumerate(CHANNELS)}
+        logs = values[1:1 + len(CHANNELS), order]
 
         facies = values[-1, order]
         unlabeled = np.isnan(facies)
@@ -186,15 +184,16 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
                                   f"cells empty)")
         else:
             labels = facies.astype(np.int64)
-        wells.append(Well(name, depth, channels, labels))
+        wells.append(Well(name, depth, logs, labels))
     return wells
 
 
 def _read_rows(path, allow_missing_pe):
     """Every data row of the file: ({well name: index} in order of first
     appearance, each row's well index, row numbers, the
-    (len(_NUMERIC_FIELDS), n_rows) values)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    (len(_NUMERIC_FIELDS), n_rows) values). A byte order mark before the
+    header is not part of its first column."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -203,6 +202,10 @@ def _read_rows(path, allow_missing_pe):
         header = [h.strip() for h in header]
         col = {name: i for i, name in enumerate(header)}
 
+        for name in _REQUIRED_COLUMNS + ("Facies",):
+            if header.count(name) > 1:
+                raise DataFormatError(f"{path}: column {name!r} appears "
+                                      f"{header.count(name)} times in the header")
         for name in _REQUIRED_COLUMNS:
             if name in col:
                 continue
@@ -343,18 +346,18 @@ def write_csv(wells: list, path) -> None:
                 if labeled:
                     row.append("" if well.labels is None else str(int(well.labels[i])))
                 row += ["", well.name, repr(float(well.depth[i]))]  # Formation empty
-                for c in CHANNELS:
-                    v = well.channels[c][i]
-                    row.append("" if np.isnan(v) else repr(float(v)))
+                row += ["" if math.isnan(v) else repr(v)
+                        for v in well.channels[:, i].tolist()]
                 writer.writerow(row)
 
 
 @dataclass
 class Standardizer:
-    """Per-channel mean/std fitted on training wells only."""
+    """Per-channel mean/std fitted on training wells only: two float64
+    vectors of len(CHANNELS), in CHANNELS order."""
 
-    mean: dict
-    std: dict
+    mean: np.ndarray
+    std: np.ndarray
 
 
 def fit_standardizer(wells: list) -> Standardizer:
@@ -365,42 +368,36 @@ def fit_standardizer(wells: list) -> Standardizer:
     """
     if not wells:
         raise ConfigError("cannot fit a standardizer on zero wells")
-    mean, std = {}, {}
-    for c in CHANNELS:
-        values = np.concatenate([w.channels[c] for w in wells])
+    mean, std = np.zeros(len(CHANNELS)), np.ones(len(CHANNELS))
+    for k, values in enumerate(np.concatenate([w.channels for w in wells], axis=1)):
         values = values[~np.isnan(values)]
-        if values.size == 0:
-            mean[c], std[c] = 0.0, 1.0
-            continue
-        mean[c] = float(values.mean())
-        s = float(values.std())  # population, not sample: fit-then-apply is exact
-        std[c] = s if s >= 1e-8 else 1.0
+        if values.size:
+            mean[k] = values.mean()
+            s = values.std()  # population, not sample: fit-then-apply is exact
+            std[k] = s if s >= 1e-8 else 1.0
     return Standardizer(mean, std)
 
 
 def apply_standardizer(standardizer: Standardizer, well: Well) -> Well:
-    """Return a copy of the well with (x - mean) / std channels; labels untouched."""
-    for c in well.channels:
-        if c not in standardizer.mean:
-            raise ShapeError(f"standardizer has no statistics for channel {c!r}")
+    """Return a copy of the well with (x - mean) / std logs; labels untouched."""
     # a value too large for float64 becomes inf, which cutting windows
     # reports by well, channel and depth
     with np.errstate(over="ignore"):
-        channels = {c: (well.channels[c] - standardizer.mean[c]) / standardizer.std[c]
-                    for c in well.channels}
-    return Well(well.name, well.depth.copy(), channels,
+        logs = (well.channels - standardizer.mean[:, None]) / standardizer.std[:, None]
+    return Well(well.name, well.depth.copy(), logs,
                 None if well.labels is None else well.labels.copy())
 
 
-def impute_pe(wells: list, pe_mean: float) -> list:
-    """Fill PE gaps with the supplied training-set mean (``--allow-missing-pe``)."""
+def impute_pe(wells: list, standardizer: Standardizer) -> list:
+    """Fill PE gaps with the standardizer's PE mean, the training-set mean
+    (``--allow-missing-pe``)."""
     out = []
     for w in wells:
-        pe = w.channels["PE"]
-        if np.any(np.isnan(pe)):
-            channels = dict(w.channels)
-            channels["PE"] = np.where(np.isnan(pe), pe_mean, pe)
-            w = Well(w.name, w.depth, channels, w.labels)
+        gaps = np.isnan(w.channels[PE])
+        if gaps.any():
+            logs = w.channels.copy()
+            logs[PE, gaps] = standardizer.mean[PE]
+            w = Well(w.name, w.depth, logs, w.labels)
         out.append(w)
     return out
 
@@ -427,9 +424,10 @@ def window_matrix(well: Well, width: int) -> np.ndarray:
     """
     if width < 1 or width % 2 == 0:
         raise ConfigError(f"window length must be odd and >= 1, got {width}")
-    logs = well.channel_matrix()
-    if np.any(np.isnan(logs)):
-        bad = [c for c in CHANNELS if np.any(np.isnan(well.channels[c]))]
+    logs = well.channels
+    gaps = np.isnan(logs).any(axis=1)
+    if gaps.any():
+        bad = [c for c, gap in zip(CHANNELS, gaps) if gap]
         raise DataFormatError(f"well {well.name}: gaps remain in {bad}; "
                               f"impute before windowing")
     too_large = np.abs(logs) > FLOAT32_MAX

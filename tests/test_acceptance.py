@@ -21,8 +21,8 @@ from faciesnet.network import (Checkpoint, InceptionSpec, ModelSpec,
                                inception_forward, init_params, model_forward)
 from faciesnet.synth import SynthConfig, generate_wells
 from faciesnet.training import TrainConfig, train, train_on_windows
-from faciesnet.welldata import (FaciesTable, default_adjacency, impute_pe,
-                                parse_csv, write_csv)
+from faciesnet.welldata import (FaciesTable, default_adjacency, fit_standardizer,
+                                impute_pe, parse_csv, write_csv)
 
 CONTEST_ENV = "FACIES_CONTEST_CSV"
 CONTEST_FALLBACKS = ("data/facies_vectors.csv", "data/contest.csv")
@@ -137,7 +137,7 @@ def test_criterion_3_metrics_oracle(announce):
         mismatches += 0 if exact else 1
 
     cell = evaluate([1] * 14, [2] * 14, table)
-    cell_ok = cell.cm.count(1, 2) == 14 and cell.cm.counts[0, 1] == 14
+    cell_ok = cell.cm.counts[0, 1] == 14
     ok = mismatches == 0 and cell_ok
     verdict(announce, 3, "metrics oracle", ok,
             f"{100 - mismatches}/100 sequences exact, "
@@ -264,10 +264,7 @@ def test_criterion_8_contest_band(announce):
         seed_start = time.perf_counter()
         train_wells = [w for w in wells if w.name not in blind_names]
         blind = [w for w in wells if w.name in blind_names]
-        finite = np.concatenate([w.channels["PE"] for w in train_wells])
-        finite = finite[np.isfinite(finite)]
-        pe_mean = float(finite.mean()) if len(finite) else 0.0
-        all_wells = impute_pe(train_wells + blind, pe_mean)
+        all_wells = impute_pe(train_wells + blind, fit_standardizer(train_wells))
         train_wells, blind = all_wells[:len(train_wells)], all_wells[len(train_wells):]
 
         checkpoint, _ = train(TrainConfig(epochs=60, seed=seed), train_wells)

@@ -17,7 +17,7 @@ from faciesnet.errors import ConfigError
 from faciesnet.network import Checkpoint, InceptionSpec, ModelSpec
 from faciesnet.synth import SynthConfig, generate_wells
 from faciesnet.training import TrainConfig
-from faciesnet.welldata import default_adjacency, parse_csv, write_csv
+from faciesnet.welldata import PE, default_adjacency, parse_csv, write_csv
 
 
 SMALL_MODEL_CFG = """
@@ -224,17 +224,17 @@ class TestTrainCommand:
 
     def test_pe_gaps_filled_from_fitted_wells_only(self, tmp_path):
         wells = generate_wells(SynthConfig(n_samples=60, seed=33), 3)
-        wells[0].channels["PE"][::4] = np.nan
-        wells[2].channels["PE"] += 100.0  # the validation well
+        wells[0].channels[PE, ::4] = np.nan
+        wells[2].channels[PE] += 100.0  # the validation well
         path = tmp_path / "gaps.csv"
         write_csv(wells, path)
         cfg = tmp_path / "val.cfg"
         cfg.write_text(SMALL_MODEL_CFG + f"validation_wells = {wells[2].name}\n")
         code, out_dir = run_train(tmp_path, path, cfg, extra=["--allow-missing-pe"])
         assert code == 0
-        fitted = np.concatenate([w.channels["PE"] for w in wells[:2]])
+        fitted = np.concatenate([w.channels[PE] for w in wells[:2]])
         # the gaps hold the recorded mean, so the mean is unchanged by them
-        pe_mean = Checkpoint.load(out_dir / "model.fnet").standardizer.mean["PE"]
+        pe_mean = Checkpoint.load(out_dir / "model.fnet").standardizer.mean[PE]
         assert pe_mean == pytest.approx(np.nanmean(fitted), rel=1e-12)
 
     def test_blind_wells_excluded(self, tmp_path, data_csv, small_cfg, capsys):
@@ -508,6 +508,15 @@ def _first_row_cell(column, value):
     return edit
 
 
+def _append_column(name, value):
+    """CSV edit: one more header column `name`, holding `value` in every row."""
+    def edit(raw):
+        head, *rows = raw.split(b"\r\n")
+        return b"\r\n".join([head + b"," + name]
+                             + [row + b"," + value for row in rows if row]) + b"\r\n"
+    return edit
+
+
 def _repeat_first_row(raw):
     lines = raw.split(b"\n")
     return b"\n".join(lines[:2] + lines[1:])
@@ -604,6 +613,11 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
      ("{bad}", "rows 2 and 3")),
     ("csv-well-name-blank", TRAIN, "data", _first_row_cell(2, b" "), 3,
      ("{bad}: row 2: missing Well Name",)),
+    # the repeated column was once read from its last copy, with exit 0
+    ("csv-column-repeated", TRAIN, "data", _append_column(b"GR", b"1.0"), 3,
+     ("{bad}: column 'GR' appears 2 times in the header",)),
+    ("csv-column-repeated-predict", PREDICT, "data", _append_column(b"GR", b"1.0"), 3,
+     ("{bad}: column 'GR' appears 2 times in the header",)),
     ("train-diverges", TRAIN, "config", lambda raw: raw + b"learning_rate = 1e6\n", 3,
      ("numeric failure", "epoch 1, batch ")),
     ("all-blind-missing-pe", ALL_BLIND, None, None, 2,
@@ -685,6 +699,13 @@ def good_inputs(tmp_path_factory):
             "config": tmp / "small.cfg", "adjacency": tmp / "adj.txt"}
 
 
+def _file_args(sub, paths, out):
+    """The arguments of train, predict or evaluate that name files."""
+    inputs = [paths["data"]] if sub == "train" else [paths["checkpoint"], paths["data"]]
+    return [*inputs, "--config", paths["config"], "--adjacency", paths["adjacency"],
+            "--out", out]
+
+
 @pytest.mark.parametrize("command, target, how, code, expected",
                          [row[1:] for row in HOSTILE], ids=[row[0] for row in HOSTILE])
 def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, command, target, how,
@@ -701,9 +722,7 @@ def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, command, tar
     if sub == "synth":
         args = [tmp_path / "synth.csv", "--config", paths["config"]]
     else:
-        inputs = [paths["data"]] if sub == "train" else [paths["checkpoint"], paths["data"]]
-        args = [*inputs, "--config", paths["config"], "--adjacency", paths["adjacency"],
-                "--out", tmp_path / "out"]
+        args = _file_args(sub, paths, tmp_path / "out")
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -715,3 +734,18 @@ def test_hostile_input_exits_cleanly(good_inputs, tmp_path, capsys, command, tar
     assert not (tmp_path / "out" / "predictions.csv").exists()
     # the error message is the one report: no numpy warning on the side
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("sub, target", [("train", "data"), ("evaluate", "data"),
+                                         ("train", "config"), ("evaluate", "adjacency")])
+def test_byte_order_mark_reads_as_the_plain_file(good_inputs, tmp_path, sub, target):
+    # a UTF-8 byte order mark, as some editors save one, once hid the first
+    # column, the first section header or the first facies code
+    marked = dict(good_inputs)
+    marked[target] = tmp_path / f"bom-{good_inputs[target].name}"
+    marked[target].write_bytes(b"\xef\xbb\xbf" + good_inputs[target].read_bytes())
+    outputs = []
+    for paths, out in ((good_inputs, tmp_path / "plain"), (marked, tmp_path / "bom")):
+        assert main([sub, *map(str, _file_args(sub, paths, out))]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]

@@ -8,7 +8,7 @@ import pytest
 
 from faciesnet.errors import ConfigError
 from faciesnet.synth import SynthConfig, default_means, generate_well, generate_wells
-from faciesnet.welldata import CHANNELS, parse_csv, write_csv
+from faciesnet.welldata import parse_csv, write_csv
 
 
 def run_lengths(labels):
@@ -50,16 +50,14 @@ class TestGenerateWell:
     def test_sigma_zero_hits_centroids_exactly(self):
         well = generate_well(SynthConfig(n_samples=500, sigma=0.0, seed=1))
         means = default_means()
-        for j, c in enumerate(CHANNELS):
-            assert np.array_equal(well.channels[c], means[well.labels - 1, j])
+        assert np.array_equal(well.channels, means[well.labels - 1].T)
 
     def test_same_seed_identical(self):
         cfg = SynthConfig(n_samples=300, seed=9)
         a, b = generate_well(cfg), generate_well(cfg)
         assert np.array_equal(a.depth, b.depth)
         assert np.array_equal(a.labels, b.labels)
-        for c in CHANNELS:
-            assert np.array_equal(a.channels[c], b.channels[c])
+        assert np.array_equal(a.channels, b.channels)
 
     def test_different_seeds_differ(self):
         a = generate_well(SynthConfig(n_samples=300, seed=0))
@@ -100,7 +98,7 @@ class TestGenerateWell:
 
     def test_nearest_centroid_perfect_at_sigma_zero(self):
         well = generate_well(SynthConfig(n_samples=2000, sigma=0.0, seed=4))
-        x = well.channel_matrix()
+        x = well.channels
         dists = np.linalg.norm(x.T[:, None, :] - default_means()[None], axis=2)
         assert np.array_equal(dists.argmin(axis=1) + 1, well.labels)
 
@@ -116,8 +114,7 @@ class TestPipelineCompatibility:
         back = parse_csv(path)
         assert len(back) == 1
         assert np.array_equal(back[0].labels, well.labels)
-        for c in CHANNELS:
-            assert np.array_equal(back[0].channels[c], well.channels[c])
+        assert np.array_equal(back[0].channels, well.channels)
 
     def test_generate_wells_distinct_names_and_seeds(self):
         wells = generate_wells(SynthConfig(n_samples=50, seed=10), 3)

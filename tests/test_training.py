@@ -312,8 +312,8 @@ class TestTrainWells:
         cfg = self.config(validation_wells=("SYNTH022",))
         ckpt, _ = train(cfg, wells, spec=small_spec())
         expected = fit_standardizer(wells[:2])
-        assert ckpt.standardizer.mean == expected.mean
-        assert ckpt.standardizer.std == expected.std
+        assert ckpt.standardizer.mean.tolist() == expected.mean.tolist()
+        assert ckpt.standardizer.std.tolist() == expected.std.tolist()
 
     def test_validation_split_by_name(self):
         wells = self.make_wells()

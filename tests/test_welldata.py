@@ -1,5 +1,7 @@
 """Ingestion, standardization, and windowing tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from faciesnet import welldata as wd
 from faciesnet.errors import ConfigError, DataFormatError, MissingLabelsError
 
 HEADER = "Facies,Formation,Well Name,Depth,GR,ILD_log10,DeltaPHI,PHIND,PE,NM_M,RELPOS"
+ROW = {c: k for k, c in enumerate(wd.CHANNELS)}  # a channel's row in Well.channels
 
 
 def make_well(name="W", n=5, labels=True, seed=0):
     rng = np.random.default_rng(seed)
-    channels = {c: rng.normal(size=n) for c in wd.CHANNELS}
-    return wd.Well(name, np.arange(n) * 1.5, channels,
+    logs = rng.normal(size=(len(wd.CHANNELS), n))
+    return wd.Well(name, np.arange(n) * 1.5, logs,
                    rng.integers(1, 10, size=n) if labels else None)
 
 
@@ -32,7 +35,7 @@ class TestParseCsv:
         assert len(wells[0]) == 2
         assert wells[0].name == "SHRIMPLIN"
         np.testing.assert_array_equal(wells[0].labels, [3, 3])
-        assert wells[0].channels["GR"][0] == 77.45
+        assert wells[0].channels[ROW["GR"], 0] == 77.45
 
     def test_two_wells(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -54,7 +57,7 @@ class TestParseCsv:
         ])
         (well,) = wd.parse_csv(p)
         np.testing.assert_array_equal(well.depth, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(well.channels["GR"], [10, 20, 30])
+        np.testing.assert_array_equal(well.channels[ROW["GR"]], [10, 20, 30])
         np.testing.assert_array_equal(well.labels, [2, 3, 1])
 
     def test_missing_pe_column_is_error(self, tmp_path):
@@ -69,7 +72,7 @@ class TestParseCsv:
         header = HEADER.replace(",PE", "")
         write_rows(p, ["1,F,W,1.0,1,1,1,1,1,1"], header=header)
         (well,) = wd.parse_csv(p, allow_missing_pe=True)
-        assert np.isnan(well.channels["PE"]).all()
+        assert np.isnan(well.channels[ROW["PE"]]).all()
 
     def test_missing_other_column_always_error(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -91,7 +94,7 @@ class TestParseCsv:
         p = tmp_path / "a.csv"
         write_rows(p, ["1,F,W,1.0,1,1,1,1,,1,1"])
         (well,) = wd.parse_csv(p)
-        assert np.isnan(well.channels["PE"][0])
+        assert np.isnan(well.channels[ROW["PE"], 0])
 
     def test_unlabeled_when_no_facies_column(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -124,8 +127,7 @@ class TestParseCsv:
                         sorted(wells2, key=lambda w: w.name)):
             np.testing.assert_array_equal(a.depth, b.depth)
             np.testing.assert_array_equal(a.labels, b.labels)
-            for c in wd.CHANNELS:
-                np.testing.assert_array_equal(a.channels[c], b.channels[c])
+            np.testing.assert_array_equal(a.channels, b.channels)
 
 
     def test_log_value_outside_float32_names_file_row_well_channel(self, tmp_path):
@@ -141,7 +143,29 @@ class TestParseCsv:
         top = float(np.finfo(np.float32).max)
         write_rows(p, [f"1,F,W,1.0,{top!r},1,1,1,1,1,{-top!r}"])
         (well,) = wd.parse_csv(p)
-        assert well.channels["GR"][0] == top and well.channels["RELPOS"][0] == -top
+        assert well.channels[ROW["GR"], 0] == top and well.channels[ROW["RELPOS"], 0] == -top
+
+    @pytest.mark.parametrize("column", ["GR", "Facies", "Well Name", "Depth"])
+    def test_repeated_column_names_file_and_column(self, tmp_path, column):
+        p = tmp_path / "a.csv"
+        write_rows(p, ["3,F,A,1.0,1,2,3,4,5,6,0.5,9"], header=f"{HEADER},{column}")
+        with pytest.raises(DataFormatError,
+                           match=rf"{p}: column '{column}' appears 2 times in the header"):
+            wd.parse_csv(p)
+
+    def test_repeated_unread_column_accepted(self, tmp_path):
+        p = tmp_path / "a.csv"
+        write_rows(p, ["3,F,A,1.0,1,2,3,4,5,6,0.5,G"], header=f"{HEADER},Formation")
+        (well,) = wd.parse_csv(p)
+        assert well.channels[:, 0].tolist() == [1, 2, 3, 4, 5, 6, 0.5]
+
+
+class TestWell:
+    @pytest.mark.parametrize("shape", [(6, 5), (7, 4), (5, 7), (5,), (7, 5, 1)])
+    def test_logs_of_another_shape_name_the_well(self, shape):
+        message = f"well ODD: logs of shape {shape} for 7 channels and 5 depths"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            wd.Well("ODD", np.arange(5.0), np.zeros(shape))
 
 
 # Cell texts for the two ways parse_csv reads a block: by columns, and cell
@@ -162,7 +186,7 @@ def _parse_outcome(path):
         return "error", str(exc)
     return "wells", [(w.name, w.depth.tobytes(),
                       None if w.labels is None else w.labels.tobytes(),
-                      [w.channels[c].tobytes() for c in wd.CHANNELS])
+                      w.channels.tobytes())
                      for w in wells]
 
 
@@ -201,7 +225,7 @@ def test_clean_blocks_are_read_by_columns(tmp_path, monkeypatch):
     monkeypatch.setattr(wd, "_parse_row", no_cells)
     wells = wd.parse_csv(p)
     assert [len(w) for w in wells] == [30, 30]
-    assert [np.flatnonzero(np.isnan(w.channels["PE"])).tolist() for w in wells] == [[2], [9]]
+    assert [np.flatnonzero(np.isnan(w.channels[ROW["PE"]])).tolist() for w in wells] == [[2], [9]]
 
 
 # (column, text) of the first, second and third fault: a non-numeric GR,
@@ -235,40 +259,38 @@ def test_first_fault_in_file_order_across_blocks(tmp_path, monkeypatch, faults):
 class TestStandardizer:
     def test_hand_population_stats(self):
         w = make_well(n=3, labels=False)
-        w.channels["GR"] = np.array([1.0, 2.0, 3.0])
+        w.channels[ROW["GR"]] = np.array([1.0, 2.0, 3.0])
         std = wd.fit_standardizer([w])
-        assert std.mean["GR"] == pytest.approx(2.0)
-        assert std.std["GR"] == pytest.approx(0.81650, abs=1e-5)
+        assert std.mean[ROW["GR"]] == pytest.approx(2.0)
+        assert std.std[ROW["GR"]] == pytest.approx(0.81650, abs=1e-5)
 
     def test_constant_channel_guard(self):
         w = make_well(n=4, labels=False)
-        w.channels["NM_M"] = np.full(4, 7.0)
+        w.channels[ROW["NM_M"]] = np.full(4, 7.0)
         std = wd.fit_standardizer([w])
-        assert std.mean["NM_M"] == 7.0
-        assert std.std["NM_M"] == 1.0
+        assert std.mean[ROW["NM_M"]] == 7.0
+        assert std.std[ROW["NM_M"]] == 1.0
 
     def test_fit_then_apply_is_zero_mean_unit_std(self):
         wells = [make_well(f"W{i}", n=50, seed=i) for i in range(3)]
         std = wd.fit_standardizer(wells)
         scaled = [wd.apply_standardizer(std, w) for w in wells]
-        for c in wd.CHANNELS:
-            values = np.concatenate([w.channels[c] for w in scaled])
-            assert abs(values.mean()) < 1e-6
-            assert abs(values.std() - 1.0) < 1e-6
+        values = np.concatenate([w.channels for w in scaled], axis=1)
+        assert np.abs(values.mean(axis=1)).max() < 1e-6
+        assert np.abs(values.std(axis=1) - 1.0).max() < 1e-6
 
     def test_identity_standardizer(self):
         w = make_well(n=6)
-        ident = wd.Standardizer({c: 0.0 for c in wd.CHANNELS}, {c: 1.0 for c in wd.CHANNELS})
+        ident = wd.Standardizer(np.zeros(len(wd.CHANNELS)), np.ones(len(wd.CHANNELS)))
         out = wd.apply_standardizer(ident, w)
-        for c in wd.CHANNELS:
-            np.testing.assert_array_equal(out.channels[c], w.channels[c])
+        np.testing.assert_array_equal(out.channels, w.channels)
 
     def test_applying_twice_differs(self):
         w = make_well(n=20)
         std = wd.fit_standardizer([w])
         once = wd.apply_standardizer(std, w)
         twice = wd.apply_standardizer(std, once)
-        assert not np.allclose(once.channels["GR"], twice.channels["GR"])
+        assert not np.allclose(once.channels[ROW["GR"]], twice.channels[ROW["GR"]])
 
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -282,15 +304,21 @@ class TestStandardizer:
 
     def test_gaps_excluded_from_fit(self):
         w = make_well(n=4, labels=False)
-        w.channels["PE"] = np.array([1.0, np.nan, 3.0, np.nan])
+        w.channels[ROW["PE"]] = np.array([1.0, np.nan, 3.0, np.nan])
         std = wd.fit_standardizer([w])
-        assert std.mean["PE"] == pytest.approx(2.0)
+        assert std.mean[ROW["PE"]] == pytest.approx(2.0)
 
     def test_impute_pe(self):
         w = make_well(n=3, labels=False)
-        w.channels["PE"] = np.array([1.0, np.nan, 3.0])
-        (out,) = wd.impute_pe([w], 2.0)
-        np.testing.assert_array_equal(out.channels["PE"], [1.0, 2.0, 3.0])
+        w.channels[wd.PE] = [1.0, np.nan, 3.0]
+        mean = np.zeros(len(wd.CHANNELS))
+        mean[wd.PE] = 2.0
+        (out,) = wd.impute_pe([w], wd.Standardizer(mean, np.ones(len(wd.CHANNELS))))
+        np.testing.assert_array_equal(out.channels[wd.PE], [1.0, 2.0, 3.0])
+        # the other rows, and the well passed in, are untouched
+        np.testing.assert_array_equal(np.delete(out.channels, wd.PE, axis=0),
+                                      np.delete(w.channels, wd.PE, axis=0))
+        assert np.isnan(w.channels[wd.PE, 1])
 
 
 class TestWindows:
@@ -298,12 +326,12 @@ class TestWindows:
         w = make_well(n=4)
         ws = wd.extract_windows(w, 1)
         assert ws.windows.shape == (4, 7, 1)
-        np.testing.assert_allclose(ws.windows[2, :, 0], w.channel_matrix()[:, 2], rtol=1e-6)
+        np.testing.assert_allclose(ws.windows[2, :, 0], w.channels[:, 2], rtol=1e-6)
 
     def test_edge_replication_at_start(self):
         w = make_well(n=5)
         ws = wd.extract_windows(w, 3)
-        logs = w.channel_matrix()
+        logs = w.channels
         expect = np.stack([logs[:, 0], logs[:, 0], logs[:, 1]], axis=1)
         np.testing.assert_allclose(ws.windows[0], expect, rtol=1e-6)
 
@@ -316,7 +344,7 @@ class TestWindows:
     def test_center_value_matches_source(self):
         w = make_well(n=9)
         ws = wd.extract_windows(w, 5)
-        logs = w.channel_matrix()
+        logs = w.channels
         for i in range(9):
             np.testing.assert_allclose(ws.windows[i, :, 2], logs[:, i], rtol=1e-6)
 
@@ -333,14 +361,14 @@ class TestWindows:
         a, b = make_well("A", n=4, seed=1), make_well("B", n=4, seed=2)
         merged = wd.merge_window_sets([wd.extract_windows(w, 3) for w in (a, b)])
         np.testing.assert_array_equal(merged.labels, np.concatenate([a.labels, b.labels]))
-        logs_a = a.channel_matrix()
+        logs_a = a.channels
         np.testing.assert_allclose(merged.windows[3, :, 2], logs_a[:, 3], rtol=1e-6)
 
     def test_window_matrix_is_a_read_only_view_of_the_padded_logs(self):
         w = make_well(n=6)
         windows = wd.window_matrix(w, 5)
         assert not windows.flags.writeable
-        padded = np.pad(w.channel_matrix().astype(np.float32), ((0, 0), (2, 2)), mode="edge")
+        padded = np.pad(w.channels.astype(np.float32), ((0, 0), (2, 2)), mode="edge")
         expected = np.stack([padded[:, i:i + 5] for i in range(6)])
         assert windows.shape == expected.shape and windows.dtype == np.float32
         assert windows.tobytes() == expected.tobytes()
@@ -350,7 +378,7 @@ class TestWindows:
 
     def test_value_outside_float32_names_well_channel_depth(self):
         w = make_well("BIG", n=5)
-        w.channels["NM_M"][3] = -1e40
+        w.channels[ROW["NM_M"], 3] = -1e40
         with pytest.raises(DataFormatError,
                            match=r"well BIG: NM_M at depth 4\.5 is -1e\+40 after "
                                  r"standardization, outside the float32 range"):
@@ -358,7 +386,7 @@ class TestWindows:
 
     def test_nan_gap_rejected(self):
         w = make_well(n=5)
-        w.channels["PE"][2] = np.nan
+        w.channels[ROW["PE"], 2] = np.nan
         with pytest.raises(DataFormatError, match="PE"):
             wd.extract_windows(w, 3)
 

@@ -13,6 +13,11 @@ checkout this script lives in), in a temporary directory:
   predictions  faciesnet predict small.fnet wells.csv
   evaluate/*   faciesnet evaluate small.fnet wells.csv: facies_column.csv,
                confusion.csv, facies_counts.csv, metrics.json
+  gaps.fnet    faciesnet train gaps.csv --seed 0 --allow-missing-pe with
+               SMALL_MODEL_CFG, validation_wells = SYNTH001 and
+               use_class_weights = true, where gaps.csv holds GAPS_WELLS
+               synth wells of GAPS_SAMPLES samples, PE blank on every
+               GAPS_EVERY-th row
 
 and prints one `sha256  name` line each. Two checkouts that print the
 same lines write the same bytes on this machine. BLAS runs one thread
@@ -48,6 +53,7 @@ DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 EVALUATE_FILES = ("facies_column.csv", "confusion.csv", "facies_counts.csv",
                   "metrics.json")
 PROBS_EVERY = 100  # predictions.csv rows 0, 100, ..., 1900 of the 2000-sample well
+GAPS_WELLS, GAPS_SAMPLES, GAPS_EVERY = 3, 400, 7
 
 
 def small_model_cfg(root: Path) -> str:
@@ -59,6 +65,17 @@ def small_model_cfg(root: Path) -> str:
                 == ["SMALL_MODEL_CFG"]):
             return ast.literal_eval(node.value)
     raise SystemExit(f"no SMALL_MODEL_CFG in {root / 'tests' / 'test_cli.py'}")
+
+
+def blank_pe(path: Path) -> None:
+    """Empty the PE cell of data rows 0, GAPS_EVERY, 2 * GAPS_EVERY, ..."""
+    header, *rows = path.read_text().splitlines()
+    pe = header.split(",").index("PE")
+    for i in range(0, len(rows), GAPS_EVERY):
+        cells = rows[i].split(",")
+        cells[pe] = ""
+        rows[i] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def fingerprint() -> dict:
@@ -106,10 +123,22 @@ def artefacts(root: Path, work: Path) -> list:
     run("predict", small, data, "--out", work / "predict")
     run("evaluate", small, data, "--out", work / "evaluate")
     fixture = workloads.fixture_checkpoint(root / "src", work)
+    # several wells: fit_standardizer over more than one, the validation
+    # split, class weights and PE imputation
+    gaps = work / "gaps.csv"
+    (work / "gaps-synth.cfg").write_text(
+        f"[synth]\nwells = {GAPS_WELLS}\nn_samples = {GAPS_SAMPLES}\n")
+    (work / "gaps.cfg").write_text(small_model_cfg(root) + "validation_wells = SYNTH001\n"
+                                   "use_class_weights = true\n")
+    run("synth", gaps, "--seed", 0, "--config", work / "gaps-synth.cfg")
+    blank_pe(gaps)
+    run("train", gaps, "--seed", 0, "--config", work / "gaps.cfg", "--allow-missing-pe",
+        "--out", work / "gaps")
     return ([("synth wells.csv", data), ("small.fnet", small),
              ("default.fnet", work / "default" / "model.fnet"), ("fixture.fnet", fixture),
              ("predictions.csv", work / "predict" / "predictions.csv")]
-            + [(f"evaluate/{name}", work / "evaluate" / name) for name in EVALUATE_FILES])
+            + [(f"evaluate/{name}", work / "evaluate" / name) for name in EVALUATE_FILES]
+            + [("gaps.fnet", work / "gaps" / "model.fnet")])
 
 
 def main(argv=None) -> int:
