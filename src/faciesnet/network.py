@@ -7,7 +7,8 @@ name -> ndarray. Parameters are immutable during inference; training
 code owns and mutates its own dict.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -333,21 +334,32 @@ def model_backward(spec: ModelSpec, params: dict, caches: Optional[dict],
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _spec_lines(spec: ModelSpec) -> list:
+_BLOB_MARKER = b"\n[blob]\n"
+
+
+def _manifest(spec: ModelSpec, standardizer: Standardizer, seed: int) -> list:
+    """The `.fnet` manifest lines of a model, the one definition of their
+    layout: saving writes them, and loading accepts a file only if its
+    manifest is these lines of the model it parsed."""
     lines = [
+        CHECKPOINT_MAGIC,
+        f"seed = {seed}",
         f"window = {spec.window}",
         f"in_channels = {spec.in_channels}",
         f"stem_kernel = {spec.stem_kernel}",
         f"stem_channels = {spec.stem_channels}",
         f"fc_sizes = {','.join(str(s) for s in spec.fc_sizes)}",
-        f"dropout = {spec.dropout!r}",
+        # Python floats: numpy 2 would write a float64 as np.float64(...)
+        f"dropout = {float(spec.dropout)!r}",
         f"n_classes = {N_FACIES}",
         f"n_stages = {len(spec.stages)}",
     ]
-    for i, st in enumerate(spec.stages):
-        lines.append(f"stage{i} = {st.branch_1x1} {st.reduce_small} {st.small_kernel} "
-                     f"{st.small_channels} {st.reduce_large} {st.large_kernel} "
-                     f"{st.large_channels} {st.pool_proj}")
+    lines += [f"stage{i} = {' '.join(str(v) for v in astuple(st))}"
+              for i, st in enumerate(spec.stages)]
+    lines += [f"std.{c} = {mu!r} {sigma!r}" for c, mu, sigma
+              in zip(CHANNELS, standardizer.mean.tolist(), standardizer.std.tolist())]
+    lines += [f"param {name} {' '.join(str(d) for d in shape)}"
+              for name, shape in param_shapes(spec).items()]
     return lines
 
 
@@ -375,10 +387,6 @@ def _manifest_reader(path, kv: dict):
 
 
 def _spec_from_manifest(path, get) -> ModelSpec:
-    for key, size in (("in_channels", len(CHANNELS)), ("n_classes", N_FACIES)):
-        value = get(key, int)
-        if value != size:
-            raise DataFormatError(f"{path}: manifest {key!r} must be {size}, got {value}")
     try:
         stages = tuple(InceptionSpec(*get(f"stage{i}", _fields(int, 8)))
                        for i in range(get("n_stages", int)))
@@ -394,95 +402,74 @@ def _spec_from_manifest(path, get) -> ModelSpec:
         raise DataFormatError(f"{path}: manifest describes an invalid model: {exc}")
 
 
-def save_checkpoint(spec: ModelSpec, params: dict, standardizer: Standardizer,
-                    path, seed: int = 0) -> None:
-    """Write a `.fnet` file: text manifest, then a raw binary32 blob.
-
-    The blob holds every parameter tensor little-endian float32,
-    concatenated in manifest order, so identical params produce
-    byte-identical files.
-    """
-    shapes = param_shapes(spec)
-    lines = [CHECKPOINT_MAGIC, f"seed = {seed}"]
-    lines += _spec_lines(spec)
-    # Python floats: numpy 2 would write a float64 as np.float64(...)
-    for c, mu, sigma in zip(CHANNELS, standardizer.mean.tolist(),
-                            standardizer.std.tolist()):
-        lines.append(f"std.{c} = {mu!r} {sigma!r}")
-    for name, shape in shapes.items():
-        if params[name].shape != shape:
-            raise ShapeError(f"param {name} has shape {params[name].shape}, "
-                             f"spec requires {shape}")
-        lines.append(f"param {name} {' '.join(str(d) for d in shape)}")
-    lines.append("[blob]")
-    blob = b"".join(np.ascontiguousarray(params[n], dtype="<f4").tobytes()
-                    for n in shapes)
-    with open(path, "wb") as fh:
-        fh.write("\n".join(lines).encode() + b"\n")
-        fh.write(blob)
+def _require_manifest(path, lines: list, expected: list) -> None:
+    """DataFormatError at the first line that differs from the expected
+    manifest, naming the file and the key."""
+    for n, (got, want) in enumerate(zip_longest(lines, expected), 1):
+        if got != want:
+            key, _, value = (got or "").partition(" = ")
+            want_key, _, want_value = (want or "").partition(" = ")
+            if key == want_key:
+                raise DataFormatError(f"{path}: manifest {key!r} must be {want_value}, "
+                                      f"got {value}")
+            raise DataFormatError(f"{path}: manifest line {n} must be {want!r}, "
+                                  f"got {got!r}")
 
 
 def load_checkpoint(path) -> "Checkpoint":
-    """Read a `.fnet` file back; inverse of save_checkpoint.
+    """Read a `.fnet` file back; inverse of Checkpoint.save.
 
-    Any malformed manifest line, a standardizer entry that is not a
-    finite mean with a finite std > 0, and non-finite parameters raise
+    The file loads only if saving what it loads would write its bytes:
+    its manifest must be, line for line, the manifest of the model it
+    describes. A missing or malformed value, a standardizer entry that
+    is not a finite mean with a finite std > 0, a repeated, unknown,
+    reordered or otherwise written line, and non-finite parameters raise
     DataFormatError naming the file and the key.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    marker = b"\n[blob]\n"
-    split = raw.find(marker)
+    split = raw.find(_BLOB_MARKER)
     if split < 0 or not raw.startswith(CHECKPOINT_MAGIC.encode()):
         raise DataFormatError(f"{path}: not a faciesnet checkpoint")
     try:
-        manifest = raw[:split].decode()
+        lines = raw[:split].decode().split("\n")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: manifest is not UTF-8 text "
                               f"(byte {exc.start})")
-    blob = raw[split + len(marker):]
+    blob = raw[split + len(_BLOB_MARKER):]
 
-    kv, param_names = {}, []
-    for line in manifest.splitlines()[1:]:
-        if line.startswith("param "):
-            name, _, dims = line[len("param "):].partition(" ")
-            param_names.append(name)
-            kv[f"param {name}"] = dims
-        elif " = " in line:
-            key, value = line.split(" = ", 1)
-            kv[key] = value
+    kv = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(" = ")
+        kv.setdefault(key, value)  # a repeated key fails _require_manifest
     get = _manifest_reader(path, kv)
 
     seed = get("seed", int)
     spec = _spec_from_manifest(path, get)
     mean, std = np.empty(len(CHANNELS)), np.empty(len(CHANNELS))
     for k, c in enumerate(CHANNELS):
-        mean[k], std[k] = get(f"std.{c}", _fields(float, 2))
+        key = f"std.{c}"
+        mean[k], std[k] = get(key, _fields(float, 2))
         if not (np.isfinite(mean[k]) and np.isfinite(std[k]) and std[k] > 0):
-            raise DataFormatError(f"{path}: manifest 'std.{c}' needs a finite "
-                                  f"mean and a finite std > 0, got {kv[f'std.{c}']!r}")
+            raise DataFormatError(f"{path}: manifest {key!r} needs a finite "
+                                  f"mean and a finite std > 0, got {kv[key]!r}")
+    standardizer = Standardizer(mean, std)
+    _require_manifest(path, lines, _manifest(spec, standardizer, seed))
 
-    expected = param_shapes(spec)
-    if param_names != list(expected):
-        raise DataFormatError(f"{path}: parameter list does not match the model spec")
-    for name, shape in expected.items():
-        declared = get(f"param {name}", _fields(int, len(shape)))
-        if declared != shape:
-            raise DataFormatError(f"{path}: param {name} shape {declared} disagrees "
-                                  f"with spec {shape}")
-    total = sum(int(np.prod(s)) for s in expected.values())
+    shapes = param_shapes(spec)
+    total = sum(int(np.prod(s)) for s in shapes.values())
     if len(blob) != 4 * total:
         raise DataFormatError(f"{path}: truncated blob: {len(blob)} bytes "
                               f"for {4 * total} expected")
     params, offset = {}, 0
-    for name, shape in expected.items():
+    for name, shape in shapes.items():
         n = int(np.prod(shape))
         params[name] = np.frombuffer(blob, dtype="<f4", count=n,
                                      offset=offset).reshape(shape).copy()
         if not np.all(np.isfinite(params[name])):
             raise DataFormatError(f"{path}: param {name} has non-finite values")
         offset += 4 * n
-    return Checkpoint(spec, params, Standardizer(mean, std), seed)
+    return Checkpoint(spec, params, standardizer, seed)
 
 
 @dataclass
@@ -495,7 +482,23 @@ class Checkpoint:
     seed: int = 0
 
     def save(self, path) -> None:
-        save_checkpoint(self.spec, self.params, self.standardizer, path, self.seed)
+        """Write a `.fnet` file: the text manifest, then a raw binary32 blob.
+
+        The blob holds every parameter tensor little-endian float32,
+        concatenated in manifest order, so identical params produce
+        byte-identical files.
+        """
+        shapes = param_shapes(self.spec)
+        for name, shape in shapes.items():
+            if self.params[name].shape != shape:
+                raise ShapeError(f"param {name} has shape {self.params[name].shape}, "
+                                 f"spec requires {shape}")
+        blob = b"".join(np.ascontiguousarray(self.params[n], dtype="<f4").tobytes()
+                        for n in shapes)
+        with open(path, "wb") as fh:
+            fh.write("\n".join(_manifest(self.spec, self.standardizer, self.seed)).encode()
+                     + _BLOB_MARKER)
+            fh.write(blob)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":

@@ -19,8 +19,7 @@ from .errors import ConfigError, NumericError, ShapeError, check_rules
 from .evaluation import confusion, precision_recall_f1
 from .network import Checkpoint, ModelSpec, init_params, model_backward, model_forward
 from .welldata import (N_FACIES, apply_standardizer, extract_windows,
-                       facies_counts, fit_standardizer, merge_window_sets,
-                       split_by_well)
+                       fit_standardizer, merge_window_sets, split_by_well)
 
 
 @dataclass(frozen=True)
@@ -102,26 +101,23 @@ class TrainReport:
             fh.write("\n")
 
 
-def compute_class_weights(counts: dict) -> np.ndarray:
-    """Inverse-frequency weights, mean 1 over the classes present.
+def compute_class_weights(labels: np.ndarray) -> np.ndarray:
+    """Inverse-frequency weights of the facies labels 1..9, mean 1 over
+    the classes present.
 
     Index f-1 holds the weight for facies f. Absent classes keep
     weight 1 so an unlucky minibatch can never divide by zero.
     """
+    counts = np.bincount(labels, minlength=N_FACIES + 1)[1:].tolist()
     weights = np.ones(N_FACIES)
-    for f, c in counts.items():
-        if not 1 <= f <= N_FACIES:
-            raise ConfigError(f"unknown facies id {f} in counts")
-        if c < 0:
-            raise ConfigError(f"negative count for facies {f}")
-    present = [f for f in range(1, N_FACIES + 1) if counts.get(f, 0) > 0]
+    present = [f for f in range(N_FACIES) if counts[f] > 0]
     if not present:
         return weights
-    total = sum(counts.get(f, 0) for f in present)
-    raw = {f: total / (N_FACIES * counts[f]) for f in present}
-    mean_raw = sum(raw.values()) / len(present)
-    for f in present:
-        weights[f - 1] = raw[f] / mean_raw
+    total = sum(counts[f] for f in present)
+    raw = [total / (N_FACIES * counts[f]) for f in present]
+    mean_raw = sum(raw) / len(present)
+    for f, r in zip(present, raw):
+        weights[f] = r / mean_raw
     return weights
 
 
@@ -251,7 +247,7 @@ def train(config: TrainConfig, train_wells: list,
              for w in validation_wells])
         val_windows, val_labels = val_set.windows, val_set.labels
 
-    class_weights = (compute_class_weights(facies_counts(train_wells))
+    class_weights = (compute_class_weights(train_set.labels)
                      if config.use_class_weights else None)
     params, report = train_on_windows(config, train_set.windows, train_set.labels,
                                       spec=spec, val_windows=val_windows,

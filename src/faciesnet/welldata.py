@@ -418,21 +418,16 @@ def window_matrix(well: Well, width: int) -> np.ndarray:
     (n_samples, 7, width) view of one edge-padded float32 copy of the logs.
 
     Boundary windows replicate the well's edge samples, so no window
-    ever borrows data from another well. Raises DataFormatError for
-    gaps, and for a value float32 cannot hold, naming the well, the
-    channel and the depth.
+    ever borrows data from another well. Raises DataFormatError for a
+    gap or a value float32 cannot hold, naming the well, the channel
+    and the depth.
     """
     if width < 1 or width % 2 == 0:
         raise ConfigError(f"window length must be odd and >= 1, got {width}")
     logs = well.channels
-    gaps = np.isnan(logs).any(axis=1)
-    if gaps.any():
-        bad = [c for c, gap in zip(CHANNELS, gaps) if gap]
-        raise DataFormatError(f"well {well.name}: gaps remain in {bad}; "
-                              f"impute before windowing")
-    too_large = np.abs(logs) > FLOAT32_MAX
-    if too_large.any():
-        k, i = np.argwhere(too_large)[0]
+    bad = ~(np.abs(logs) <= FLOAT32_MAX)  # NaN, a gap, compares False
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
         raise DataFormatError(f"well {well.name}: {CHANNELS[k]} at depth "
                               f"{float(well.depth[i])!r} is {float(logs[k, i])!r} "
                               f"after standardization, outside the float32 range")
@@ -478,15 +473,3 @@ def split_by_well(wells: list, blind_names: list,
     train = [w for w in wells if w.name not in blind_set]
     blind = [w for w in wells if w.name in blind_set]
     return train, blind
-
-
-def facies_counts(wells: list) -> dict:
-    """Histogram of facies labels over all labeled samples: {facies id: count}."""
-    counts = {f: 0 for f in range(1, N_FACIES + 1)}
-    for w in wells:
-        if w.labels is None:
-            continue
-        ids, n = np.unique(w.labels, return_counts=True)
-        for f, c in zip(ids, n):
-            counts[int(f)] += int(c)
-    return counts

@@ -498,6 +498,17 @@ def _manifest_line(prefix, line):
     return edit
 
 
+def _insert_after(prefix, line):
+    """Checkpoint edit: `line` as a new manifest line after the one starting with prefix."""
+    def edit(raw):
+        head, marker, blob = raw.partition(b"\n[blob]\n")
+        lines = []
+        for old in head.split(b"\n"):
+            lines += [old, line] if old.startswith(prefix) else [old]
+        return b"\n".join(lines) + marker + blob
+    return edit
+
+
 def _first_row_cell(column, value):
     def edit(raw):
         lines = raw.split(b"\n")
@@ -642,6 +653,20 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
     ("ckpt-std-tiny", PREDICT, "checkpoint",
      _manifest_line(b"std.GR = ", b"std.GR = 0.0 1e-300"), 3,
      ("data/model mismatch", "well SYNTH040: GR at depth", "outside the float32 range")),
+    # a manifest line that saving the loaded model would not write; each once
+    # loaded with exit 0 (a repeated key read from its last line, an unknown
+    # line skipped, `09` read as 9)
+    ("ckpt-key-repeated", PREDICT, "checkpoint",
+     _insert_after(b"std.GR = ", b"std.GR = 1000.0 5.0"), 3, ("{bad}", "std.GR")),
+    ("ckpt-window-repeated", PREDICT, "checkpoint",
+     _insert_after(b"window = ", b"window = 9"), 3, ("{bad}", "window")),
+    ("ckpt-unknown-line", PREDICT, "checkpoint",
+     _insert_after(b"seed = ", b"comment = hello"), 3, ("{bad}", "comment")),
+    ("ckpt-noncanonical", PREDICT, "checkpoint", _manifest_line(b"window = ", b"window = 09"),
+     3, ("{bad}: manifest 'window' must be 9, got 09",)),
+    # a gap in a log nothing imputes, named by its channel and depth
+    ("csv-log-gap", PREDICT, "data", _first_row_cell(4, b""), 3,
+     ("well SYNTH040: GR at depth",)),
     ("ckpt-overflows", PREDICT, "checkpoint", _scale_params(1e18), 3,
      ("numeric failure", "SYNTH040")),
     ("ckpt-overflows-evaluate", EVALUATE, "checkpoint", _scale_params(1e18), 3,

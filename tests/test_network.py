@@ -8,10 +8,9 @@ import pytest
 
 from faciesnet import network, ops
 from faciesnet.errors import ConfigError, DataFormatError, NumericError, ShapeError
-from faciesnet.network import (InceptionSpec, ModelSpec, inception_forward,
+from faciesnet.network import (Checkpoint, InceptionSpec, ModelSpec, inception_forward,
                                init_params, load_checkpoint, model_backward,
-                               model_forward, param_shapes, pooled_length,
-                               save_checkpoint)
+                               model_forward, param_shapes, pooled_length)
 from faciesnet.welldata import CHANNELS, Standardizer, Well, window_matrix
 
 
@@ -23,6 +22,16 @@ def tiny_spec(**overrides):
                 stages=(TINY_STAGE,), fc_sizes=(8,), dropout=0.0)
     base.update(overrides)
     return ModelSpec(**base)
+
+
+SPEC_OVERRIDES = [
+    dict(stages=(TINY_STAGE,) * 2),
+    dict(window=11, stages=(TINY_STAGE,) * 3),
+    dict(stem_kernel=0),
+    dict(fc_sizes=()),
+    dict(fc_sizes=(8, 8)),
+]
+SPEC_IDS = ["2-stages-w9", "3-stages-w11", "no-stem", "no-fc", "two-fc"]
 
 
 def toy_standardizer():
@@ -338,13 +347,7 @@ class TestModelBackward:
 
     # the backward paths gradient_check's one-stage spec does not reach:
     # an inception block fed by a stride-2 pool, no stem, zero or two fc layers
-    @pytest.mark.parametrize("overrides", [
-        dict(stages=(TINY_STAGE,) * 2),
-        dict(window=11, stages=(TINY_STAGE,) * 3),
-        dict(stem_kernel=0),
-        dict(fc_sizes=()),
-        dict(fc_sizes=(8, 8)),
-    ], ids=["2-stages-w9", "3-stages-w11", "no-stem", "no-fc", "two-fc"])
+    @pytest.mark.parametrize("overrides", SPEC_OVERRIDES, ids=SPEC_IDS)
     def test_gradients_across_specs(self, overrides):
         """Float64 central differences (h = 1e-5) against model_backward,
         element by element: |analytic - numeric| <= 1e-8 + 1e-4 |numeric|.
@@ -395,7 +398,7 @@ class TestCheckpoint:
         spec = tiny_spec(dropout=0.25)
         params = init_params(spec, seed=11)
         path = tmp_path / "model.fnet"
-        save_checkpoint(spec, params, toy_standardizer(), path, seed=11)
+        Checkpoint(spec, params, toy_standardizer(), 11).save(path)
         loaded = load_checkpoint(path)
         spec2, params2, std2 = loaded.spec, loaded.params, loaded.standardizer
         assert spec2 == spec
@@ -406,19 +409,32 @@ class TestCheckpoint:
         assert std2.mean.tolist() == toy_standardizer().mean.tolist()
         assert std2.std.tolist() == toy_standardizer().std.tolist()
 
+    # a numpy dropout once wrote `dropout = np.float64(0.5)`, which no load read
+    @pytest.mark.parametrize("overrides", SPEC_OVERRIDES + [
+        dict(dropout=np.float64(0.5)), dict(dropout=np.float32(0.25))],
+        ids=SPEC_IDS + ["dropout-float64", "dropout-float32"])
+    def test_load_then_save_gives_back_the_bytes(self, tmp_path, overrides):
+        spec = tiny_spec(**{"dropout": 0.25, **overrides})
+        a, b = tmp_path / "a.fnet", tmp_path / "b.fnet"
+        Checkpoint(spec, init_params(spec, seed=5), toy_standardizer(), 5).save(a)
+        loaded = load_checkpoint(a)
+        assert loaded.spec == spec
+        loaded.save(b)
+        assert b.read_bytes() == a.read_bytes()
+
     def test_save_is_byte_deterministic(self, tmp_path):
         spec = tiny_spec()
         params = init_params(spec, seed=3)
         a, b = tmp_path / "a.fnet", tmp_path / "b.fnet"
-        save_checkpoint(spec, params, toy_standardizer(), a, seed=3)
-        save_checkpoint(spec, params, toy_standardizer(), b, seed=3)
+        Checkpoint(spec, params, toy_standardizer(), 3).save(a)
+        Checkpoint(spec, params, toy_standardizer(), 3).save(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_reload_reproduces_predictions(self, tmp_path):
         spec = tiny_spec()
         params = init_params(spec, seed=6)
         path = tmp_path / "model.fnet"
-        save_checkpoint(spec, params, toy_standardizer(), path)
+        Checkpoint(spec, params, toy_standardizer()).save(path)
         loaded = load_checkpoint(path)
         spec2, params2 = loaded.spec, loaded.params
         x = np.random.default_rng(6).standard_normal((3, 7, 9)).astype(np.float32)
@@ -430,7 +446,7 @@ class TestCheckpoint:
         spec = tiny_spec()
         params = init_params(spec, seed=0)
         path = tmp_path / "model.fnet"
-        save_checkpoint(spec, params, toy_standardizer(), path)
+        Checkpoint(spec, params, toy_standardizer()).save(path)
         raw = path.read_bytes()
         path.write_bytes(b"#whoops" + raw[7:])
         with pytest.raises(DataFormatError):
@@ -440,15 +456,15 @@ class TestCheckpoint:
         spec = tiny_spec()
         params = init_params(spec, seed=0)
         path = tmp_path / "model.fnet"
-        save_checkpoint(spec, params, toy_standardizer(), path)
+        Checkpoint(spec, params, toy_standardizer()).save(path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
     def test_manifest_restates_the_data_sizes(self, tmp_path):
         path = tmp_path / "model.fnet"
-        save_checkpoint(tiny_spec(), init_params(tiny_spec(), seed=0),
-                        toy_standardizer(), path)
+        Checkpoint(tiny_spec(), init_params(tiny_spec(), seed=0),
+                   toy_standardizer()).save(path)
         manifest = path.read_bytes().partition(b"\n[blob]\n")[0].decode().splitlines()
         assert "in_channels = 7" in manifest
         assert "n_classes = 9" in manifest
@@ -457,7 +473,7 @@ class TestCheckpoint:
         spec = tiny_spec()
         params = init_params(spec, seed=0)
         path = tmp_path / "model.fnet"
-        save_checkpoint(spec, params, toy_standardizer(), path, seed=42)
+        Checkpoint(spec, params, toy_standardizer(), 42).save(path)
         assert load_checkpoint(path).seed == 42
 
     def test_mismatched_param_shape_rejected(self, tmp_path):
@@ -465,4 +481,4 @@ class TestCheckpoint:
         params = init_params(spec, seed=0)
         params["out.bias"] = np.zeros(5, dtype=np.float32)
         with pytest.raises(ShapeError):
-            save_checkpoint(spec, params, toy_standardizer(), tmp_path / "m.fnet")
+            Checkpoint(spec, params, toy_standardizer()).save(tmp_path / "m.fnet")

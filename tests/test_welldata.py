@@ -387,7 +387,7 @@ class TestWindows:
     def test_nan_gap_rejected(self):
         w = make_well(n=5)
         w.channels[ROW["PE"], 2] = np.nan
-        with pytest.raises(DataFormatError, match="PE"):
+        with pytest.raises(DataFormatError, match=r"well W: PE at depth 3\.0 is nan"):
             wd.extract_windows(w, 3)
 
 
@@ -418,19 +418,6 @@ class TestSplitAndCounts:
         train_keys = {(w.name, d) for w in train for d in w.depth}
         blind_keys = {(w.name, d) for w in blind for d in w.depth}
         assert train_keys.isdisjoint(blind_keys)
-
-    def test_counts_empty(self):
-        assert wd.facies_counts([]) == {f: 0 for f in range(1, 10)}
-
-    def test_counts_single_facies(self):
-        w = make_well(n=3)
-        w.labels = np.array([1, 1, 1])
-        counts = wd.facies_counts([w])
-        assert counts[1] == 3
-        assert sum(counts.values()) == 3
-
-    def test_unlabeled_wells_skipped(self):
-        assert sum(wd.facies_counts([make_well(labels=False)]).values()) == 0
 
 
 class TestFaciesTable:

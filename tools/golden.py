@@ -20,8 +20,10 @@ checkout this script lives in), in a temporary directory:
                GAPS_EVERY-th row
 
 and prints one `sha256  name` line each. Two checkouts that print the
-same lines write the same bytes on this machine. BLAS runs one thread
-unless the environment says otherwise. Needs only numpy.
+same lines write the same bytes on this machine. Each `.fnet` artefact
+must also load and save back to its own bytes; if one does not, the
+script exits 1 naming it. BLAS runs one thread unless the environment
+says otherwise. Needs only numpy.
 
 --json prints the hashes as golden.json holds them, together with the
 fingerprint of the environment that made them (numpy version, BLAS
@@ -141,6 +143,20 @@ def artefacts(root: Path, work: Path) -> list:
             + [("gaps.fnet", work / "gaps" / "model.fnet")])
 
 
+def check_resave(made: list) -> None:
+    """Exit 1, naming the artefact, unless every checkpoint saves back to
+    its own bytes through Checkpoint.load(...).save(...)."""
+    from faciesnet.network import Checkpoint
+
+    for name, path in made:
+        if name.endswith(".fnet"):
+            resaved = path.with_name(path.name + ".resaved")
+            Checkpoint.load(path).save(resaved)
+            if resaved.read_bytes() != path.read_bytes():
+                raise SystemExit(f"{name}: Checkpoint.load(...).save(...) does not "
+                                 f"give back its bytes")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
@@ -152,7 +168,9 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
-        hashes = {name: sha256(path) for name, path in artefacts(root, Path(tmp))}
+        made = artefacts(root, Path(tmp))
+        hashes = {name: sha256(path) for name, path in made}
+        check_resave(made)
         with open(Path(tmp) / "default" / "report.csv", newline="") as fh:
             train_loss = [float(row["train_loss"]) for row in csv.DictReader(fh)]
         with open(Path(tmp) / "predict" / "predictions.csv", newline="") as fh:
