@@ -8,8 +8,8 @@ cast by the field's annotated type and the dataclass checks its range.
 Only the keys that set no field ([data]'s four, [model] stages and
 [synth] wells) are described here. All problems in a file are reported
 together, each naming its [section] key. Exit codes: 0 success, 1 check
-failure, 2 configuration error, 3 data or model mismatch or numeric
-failure, 4 missing labels.
+failure, 2 configuration error, 3 malformed input, data/model mismatch
+or numeric failure, 4 missing labels.
 """
 
 import argparse
@@ -197,8 +197,8 @@ def _adjacency_table(args, cfg) -> FaciesTable:
     try:
         return load_adjacency(path)
     except DataFormatError as exc:
-        # a broken adjacency file is a configuration problem, not a
-        # data/model mismatch
+        # a broken adjacency file is a configuration problem, not
+        # malformed input
         raise ConfigError(str(exc))
 
 
@@ -416,7 +416,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, ShapeError) as exc:
+    except DataFormatError as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
+        return 3
+    except ShapeError as exc:
         print(f"data/model mismatch: {exc}", file=sys.stderr)
         return 3
 

@@ -144,15 +144,13 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
     and not read. Rows are grouped by well name and depth-sorted; empty
     and `nan` numeric cells become NaN gaps (in Facies, unlabeled
     samples). A numeric cell is any text `float()` reads. Non-UTF-8
-    bytes, a row shorter than the header, a blank Well Name, an infinite
-    value, a log value outside the float32 range, a Facies cell that is
+    bytes, an oversized cell, a row with more or fewer cells than the
+    header, a blank Well Name, a non-numeric or infinite value, a missing
+    Depth, a log value outside the float32 range, a Facies cell that is
     not an integer facies id 1..9, a depth repeated within a well and a
     file without data rows raise DataFormatError naming the file and the
-    row (both rows for a repeated depth).
-
-    Cells are converted a block of rows and a column at a time; a block
-    holding any cell the column checks reject is read again cell by
-    cell, which raises on the first bad cell in file order.
+    first bad row (both rows for a repeated depth); a row breaking
+    several rules is reported for the first one in that order.
     """
     try:
         well_ids, of_row, row_nos, values = _read_rows(path, allow_missing_pe)
@@ -194,7 +192,7 @@ def _read_rows(path, allow_missing_pe):
     (len(_NUMERIC_FIELDS), n_rows) values). A byte order mark before the
     header is not part of its first column."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _records(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -215,11 +213,7 @@ def _read_rows(path, allow_missing_pe):
 
         well_ids, of_row, row_nos, blocks = {}, [], [], []
         for block_nos, rows in _row_blocks(reader):
-            values = _convert_columns(col, len(header), rows)
-            if values is None:
-                values = np.array([_parse_row(path, col, len(header), row_no, row)
-                                   for row_no, row in zip(block_nos, rows)]).T
-            blocks.append(values)
+            blocks.append(_block_values(path, col, len(header), block_nos, rows))
             row_nos += block_nos
             of_row += [well_ids.setdefault(row[col["Well Name"]].strip(), len(well_ids))
                        for row in rows]
@@ -228,10 +222,22 @@ def _read_rows(path, allow_missing_pe):
     return well_ids, np.array(of_row), row_nos, np.concatenate(blocks, axis=1)
 
 
+def _records(path, fh):
+    """The csv rows of an open file; a cell longer than the csv module's
+    field size limit raises DataFormatError naming the row."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(fh), start=1):
+            yield row
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: row {row_no + 1}: {exc}")
+
+
 def _row_blocks(reader):
     """(row numbers, rows) of the non-blank rows, in blocks of at most
-    _BLOCK_ROWS. A decoding error is raised after the block of the rows
-    read before it, so a fault in one of those is reported first."""
+    _BLOCK_ROWS. A decoding error or an oversized cell is raised after
+    the block of the rows read before it, so a fault in one of those is
+    reported first."""
     row_nos, rows = [], []
     try:
         for row_no, row in enumerate(reader, start=2):
@@ -241,7 +247,7 @@ def _row_blocks(reader):
                 if len(rows) == _BLOCK_ROWS:
                     yield row_nos, rows
                     row_nos, rows = [], []
-    except UnicodeDecodeError:
+    except (UnicodeDecodeError, DataFormatError):
         if rows:
             yield row_nos, rows
         raise
@@ -249,87 +255,67 @@ def _row_blocks(reader):
         yield row_nos, rows
 
 
-def _convert_columns(col, width, rows):
-    """The (len(_NUMERIC_FIELDS), len(rows)) float64 values of a block,
-    or None when a row is short, a Well Name is blank or a cell fails a
-    check.
+def _block_values(path, col, width, row_nos, rows):
+    """The (len(_NUMERIC_FIELDS), len(rows)) float64 values of a block of
+    rows, NaN for a blank cell or a column the header lacks.
 
-    numpy converts a str with float(), so a column converts exactly as
-    _parse_row's cells do; a blank cell, after strip, is a gap.
+    Every rule is checked on whole columns. A row that breaks one raises
+    DataFormatError naming the first such row and the first rule it
+    breaks, in the order a row is read.
     """
-    if min(map(len, rows)) < width:
-        return None
+    widths = np.fromiter(map(len, rows), int, len(rows))
+    if (widths != width).any():  # the width rule comes first: read such rows as blanks
+        rows = [row if len(row) == width else [""] * width for row in rows]
     cells = list(zip(*rows))
-    if not all(map(str.strip, cells[col["Well Name"]])):
-        return None
+    names = cells[col["Well Name"]]
     values = np.full((len(_NUMERIC_FIELDS), len(rows)), np.nan)
-    for i, name in enumerate(_NUMERIC_FIELDS):
-        if name not in col:
-            continue
-        try:
-            values[i] = _column_floats(cells[col[name]])
-        except ValueError:
-            return None
-    facies = values[-1]
-    facies_ok = np.isnan(facies) | ((facies == np.floor(facies))
-                                    & (facies >= 1) & (facies <= N_FACIES))
-    if (np.isinf(values).any() or np.isnan(values[0]).any()
-            or (np.abs(values[1:-1]) > FLOAT32_MAX).any() or not facies_ok.all()):
-        return None
+    rejected = np.zeros(values.shape, dtype=bool)
+    for k, field in enumerate(_NUMERIC_FIELDS):
+        if field in col:
+            values[k], rejected[k] = _column_floats(cells[col[field]])
+
+    # (rows breaking the rule, field, message), in the order a row is read
+    rules = [(widths != width, None, "{cells} cells for {width} header columns"),
+             (np.array([not name.strip() for name in names]), None, "missing Well Name")]
+    for k, field in enumerate(_NUMERIC_FIELDS):
+        rules += [(rejected[k], field, "non-numeric {field} value {text!r}"),
+                  (np.isinf(values[k]), field,
+                   "well {well}: {field} value {text!r} is not finite")]
+        if field == "Depth":
+            rules.append((np.isnan(values[k]), field, "missing Depth"))
+        elif field == "Facies":
+            is_id = np.isnan(values[k]) | np.isin(values[k], np.arange(1, N_FACIES + 1))
+            rules.append((~is_id, field, "well {well}: Facies {text!r} is not a facies id "
+                                         f"1..{N_FACIES}"))
+        else:
+            rules.append((np.abs(values[k]) > FLOAT32_MAX, field,
+                          "well {well}: {field} value {text!r} is outside the float32 range"))
+    bad = np.array([mask for mask, _, _ in rules])
+    if bad.any():
+        i = bad.any(axis=0).argmax()
+        _, field, message = rules[bad[:, i].argmax()]
+        text = cells[col[field]][i].strip() if field else ""
+        raise DataFormatError(f"{path}: row {row_nos[i]}: " + message.format(
+            cells=widths[i], width=width, well=names[i].strip(), field=field, text=text))
     return values
 
 
 def _column_floats(texts):
-    """float() of each text, NaN for a blank one; the blanks are looked
-    for only once a text fails to convert."""
+    """(float() of each text, NaN for a blank one; which texts float()
+    rejects). float() is called text by text only in a column numpy
+    cannot convert whole."""
     try:
-        return np.array(texts, dtype=np.float64)
+        return np.array(texts, dtype=np.float64), np.zeros(len(texts), dtype=bool)
     except ValueError:
-        return np.array([text if text.strip() else "nan" for text in texts],
-                        dtype=np.float64)
-
-
-def _parse_row(path, col, width, row_no, row) -> tuple:
-    """The numeric fields of one row, checked cell by cell; raises
-    DataFormatError naming the row at its first bad cell."""
-    if len(row) < width:
-        raise DataFormatError(f"{path}: row {row_no}: {len(row)} cells for "
-                              f"{width} header columns")
-    well_name = row[col["Well Name"]].strip()
-    if not well_name:
-        raise DataFormatError(f"{path}: row {row_no}: missing Well Name")
-
-    def cell(name):
-        idx = col.get(name)
-        return row[idx].strip() if idx is not None else ""
-
-    def numeric(name):
-        text = cell(name)
-        if text == "":
-            return np.nan
-        try:
-            value = float(text)
-        except ValueError:
-            raise DataFormatError(f"{path}: row {row_no}: non-numeric "
-                                  f"{name} value {text!r}")
-        if math.isinf(value):
-            raise DataFormatError(f"{path}: row {row_no}: well {well_name}: "
-                                  f"{name} value {text!r} is not finite")
-        if name in CHANNELS and abs(value) > FLOAT32_MAX:
-            raise DataFormatError(f"{path}: row {row_no}: well {well_name}: "
-                                  f"{name} value {text!r} is outside the float32 "
-                                  f"range")
-        return value
-
-    depth = numeric("Depth")
-    if math.isnan(depth):
-        raise DataFormatError(f"{path}: row {row_no}: missing Depth")
-    logs = [numeric(c) for c in CHANNELS]
-    facies = numeric("Facies")
-    if not (math.isnan(facies) or (facies.is_integer() and 1 <= facies <= N_FACIES)):
-        raise DataFormatError(f"{path}: row {row_no}: well {well_name}: Facies "
-                              f"{cell('Facies')!r} is not a facies id 1..{N_FACIES}")
-    return (depth, *logs, facies)
+        pass
+    values, rejected = np.full(len(texts), np.nan), np.zeros(len(texts), dtype=bool)
+    for i, text in enumerate(texts):
+        if text.strip():
+            try:
+                values[i] = float(text)
+            except ValueError:
+                rejected[i] = True
+    return values, rejected
 
 
 def write_csv(wells: list, path) -> None:

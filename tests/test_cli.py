@@ -624,6 +624,12 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
      ("{bad}", "rows 2 and 3")),
     ("csv-well-name-blank", TRAIN, "data", _first_row_cell(2, b" "), 3,
      ("{bad}: row 2: missing Well Name",)),
+    # a decimal comma once split a GR cell in two and shifted every later log
+    ("csv-long-row", PREDICT, "data", _first_row_cell(4, b"1,5"), 3,
+     ("{bad}: row 2: 12 cells for 11 header columns",)),
+    # a cell past the csv module's field size limit once ended in a traceback
+    ("csv-cell-too-large", EVALUATE, "data", _first_row_cell(1, b"x" * 200000), 3,
+     ("{bad}", "row 2")),
     # the repeated column was once read from its last copy, with exit 0
     ("csv-column-repeated", TRAIN, "data", _append_column(b"GR", b"1.0"), 3,
      ("{bad}: column 'GR' appears 2 times in the header",)),
@@ -652,7 +658,7 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
     # a tiny checkpoint std scales ordinary logs past float32
     ("ckpt-std-tiny", PREDICT, "checkpoint",
      _manifest_line(b"std.GR = ", b"std.GR = 0.0 1e-300"), 3,
-     ("data/model mismatch", "well SYNTH040: GR at depth", "outside the float32 range")),
+     ("malformed input", "well SYNTH040: GR at depth", "outside the float32 range")),
     # a manifest line that saving the loaded model would not write; each once
     # loaded with exit 0 (a repeated key read from its last line, an unknown
     # line skipped, `09` read as 9)

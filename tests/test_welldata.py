@@ -168,14 +168,53 @@ class TestWell:
             wd.Well("ODD", np.arange(5.0), np.zeros(shape))
 
 
-# Cell texts for the two ways parse_csv reads a block: by columns, and cell
-# by cell. float() reads the first group, and rejects the second; the
-# rest hit a rule of their own. Each goes into a Depth, a log and a
-# Facies cell.
+# Cell texts float() reads, texts it rejects, and texts that hit a rule of
+# their own. Each goes into a Depth, a PE, a Facies and a Well Name cell.
 CELL_TEXTS = ["1_000", " 1.5 ", "+2", "1e-400", "١٢", "3", "-0.0",
               "0x10", "1e", "1,5", "nan(1)",
               "", "  ", "nan", "-nan", "Infinity", "-inf", "1e300", "3.5e38"]
 CELL_COLUMNS = {"Depth": 3, "PE": 8, "Facies": 0, "Well Name": 2}
+NAN = float("nan")
+# text: (Depth, PE, Facies, Well Name) outcomes of file row 3 holding it,
+# each the value read or the message after the file name
+CELL_OUTCOMES = {
+    "1_000": (1000.0, 1000.0, "row 3: well W: Facies '1_000' is not a facies id 1..9",
+              "1_000"),
+    " 1.5 ": (1.5, 1.5, "row 3: well W: Facies '1.5' is not a facies id 1..9", "1.5"),
+    "+2": (2.0, 2.0, 2, "+2"),
+    "1e-400": (0.0, 0.0, "row 3: well W: Facies '1e-400' is not a facies id 1..9",
+               "1e-400"),
+    "١٢": (12.0, 12.0, "row 3: well W: Facies '١٢' is not a facies id 1..9", "١٢"),
+    "3": (3.0, 3.0, 3, "3"),
+    "-0.0": (-0.0, -0.0, "row 3: well W: Facies '-0.0' is not a facies id 1..9", "-0.0"),
+    "0x10": ("row 3: non-numeric Depth value '0x10'", "row 3: non-numeric PE value '0x10'",
+             "row 3: non-numeric Facies value '0x10'", "0x10"),
+    "1e": ("row 3: non-numeric Depth value '1e'", "row 3: non-numeric PE value '1e'",
+           "row 3: non-numeric Facies value '1e'", "1e"),
+    "1,5": ("row 3: non-numeric Depth value '1,5'", "row 3: non-numeric PE value '1,5'",
+            "row 3: non-numeric Facies value '1,5'", "1,5"),
+    "nan(1)": ("row 3: non-numeric Depth value 'nan(1)'",
+               "row 3: non-numeric PE value 'nan(1)'",
+               "row 3: non-numeric Facies value 'nan(1)'", "nan(1)"),
+    "": ("row 3: missing Depth", NAN, "well W: partially labeled (some Facies cells empty)",
+         "row 3: missing Well Name"),
+    "  ": ("row 3: missing Depth", NAN, "well W: partially labeled (some Facies cells empty)",
+           "row 3: missing Well Name"),
+    "nan": ("row 3: missing Depth", NAN,
+            "well W: partially labeled (some Facies cells empty)", "nan"),
+    "-nan": ("row 3: missing Depth", -NAN,
+             "well W: partially labeled (some Facies cells empty)", "-nan"),
+    "Infinity": ("row 3: well W: Depth value 'Infinity' is not finite",
+                 "row 3: well W: PE value 'Infinity' is not finite",
+                 "row 3: well W: Facies value 'Infinity' is not finite", "Infinity"),
+    "-inf": ("row 3: well W: Depth value '-inf' is not finite",
+             "row 3: well W: PE value '-inf' is not finite",
+             "row 3: well W: Facies value '-inf' is not finite", "-inf"),
+    "1e300": (1e300, "row 3: well W: PE value '1e300' is outside the float32 range",
+              "row 3: well W: Facies '1e300' is not a facies id 1..9", "1e300"),
+    "3.5e38": (3.5e38, "row 3: well W: PE value '3.5e38' is outside the float32 range",
+               "row 3: well W: Facies '3.5e38' is not a facies id 1..9", "3.5e38"),
+}
 
 
 def _parse_outcome(path):
@@ -190,25 +229,43 @@ def _parse_outcome(path):
                      for w in wells]
 
 
-def _cell_by_cell(monkeypatch):
-    """Make parse_csv read every block cell by cell."""
-    monkeypatch.setattr(wd, "_convert_columns", lambda col, width, rows: None)
+def _row_three_outcome(path, column):
+    """The message parse_csv raises after the file name, or what file row
+    3 was read as in `column`; its other cells and rows 2 and 4 must read
+    as written."""
+    try:
+        wells = wd.parse_csv(path)
+    except DataFormatError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+    rows = [(w.depth[i], w.channels[ROW["PE"], i], w.labels[i], w.name)
+            for w in wells for i in range(len(w))]
+    for clean in ((7.5, 5.0, 3, "W"), (9.5, 5.0, 3, "W")):
+        rows.remove(clean)
+    (row,) = rows
+    k = list(CELL_COLUMNS).index(column)
+    written = (8.5, 5.0, 3, "W")
+    assert row[:k] + row[k + 1:] == written[:k] + written[k + 1:]
+    return row[k]
 
 
+# named for the two readers whose agreement the table was taken from
 @pytest.mark.parametrize("column", CELL_COLUMNS)
 @pytest.mark.parametrize("text", CELL_TEXTS)
-def test_block_and_cell_paths_agree(tmp_path, monkeypatch, text, column):
+def test_block_and_cell_paths_agree(tmp_path, text, column):
     p = tmp_path / "a.csv"
     rows = [["3", "F", "W", f"{d}.5", "1", "2", "3", "4", "5", "6", "0.5"]
             for d in (7, 8, 9)]
     rows[1][CELL_COLUMNS[column]] = f'"{text}"' if "," in text else text
     write_rows(p, [",".join(r) for r in rows])
-    by_columns = _parse_outcome(p)
-    _cell_by_cell(monkeypatch)
-    assert _parse_outcome(p) == by_columns
+    expected = CELL_OUTCOMES[text][list(CELL_COLUMNS).index(column)]
+    outcome = _row_three_outcome(p, column)
+    if isinstance(expected, float):  # the bits: -0.0 and the sign of a NaN count
+        assert np.float64(outcome).tobytes() == np.float64(expected).tobytes()
+    else:
+        assert outcome == expected
 
 
-def test_clean_blocks_are_read_by_columns(tmp_path, monkeypatch):
+def test_clean_blocks_are_read_by_columns(tmp_path):
     # an empty and a whitespace-only PE cell are gaps, not faults
     p = tmp_path / "a.csv"
     wd.write_csv([make_well("A", n=30, seed=1), make_well("B", n=30, seed=2)], p)
@@ -218,11 +275,6 @@ def test_clean_blocks_are_read_by_columns(tmp_path, monkeypatch):
         cells[CELL_COLUMNS["PE"]] = gap
         lines[row] = ",".join(cells)
     p.write_text("\n".join(lines) + "\n")
-
-    def no_cells(*args):
-        raise AssertionError("a clean block was read cell by cell")
-
-    monkeypatch.setattr(wd, "_parse_row", no_cells)
     wells = wd.parse_csv(p)
     assert [len(w) for w in wells] == [30, 30]
     assert [np.flatnonzero(np.isnan(w.channels[ROW["PE"]])).tolist() for w in wells] == [[2], [9]]
@@ -246,14 +298,12 @@ def test_first_fault_in_file_order_across_blocks(tmp_path, monkeypatch, faults):
         rows[r - 1] = ",".join(cells)
     write_rows(p, rows)
     monkeypatch.setattr(wd, "_BLOCK_ROWS", 3)
-    by_columns = _parse_outcome(p)
+    outcome = _parse_outcome(p)
     if faults:
-        assert by_columns[0] == "error"
-        assert f"row {min(faults) + 1}:" in by_columns[1]
+        assert outcome[0] == "error"
+        assert f"row {min(faults) + 1}:" in outcome[1]
     else:
-        assert [len(w[1]) // 8 for w in by_columns[1]] == [7, 7]
-    _cell_by_cell(monkeypatch)
-    assert _parse_outcome(p) == by_columns
+        assert [len(w[1]) // 8 for w in outcome[1]] == [7, 7]
 
 
 class TestStandardizer:
