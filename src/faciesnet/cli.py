@@ -35,6 +35,7 @@ from .welldata import (FaciesTable, fit_standardizer, impute_pe, load_adjacency,
 GRADCHECK_SEEDS = range(5)
 GRADCHECK_TOLERANCE = 1e-4
 SYNTH_WELLS = 1  # wells `synth` writes when [synth] wells is not set
+MAX_STAGES = 32  # a window must exceed 2^(stages - 1) samples
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,13 @@ def _count(s):
     return v
 
 
+def _stage_count(s):
+    v = _count(s)
+    if v > MAX_STAGES:  # before load_config builds a tuple that long
+        raise ValueError(f"must be <= {MAX_STAGES}")
+    return v
+
+
 # a key's value is cast by the annotated type of the field it sets;
 # the dataclass then checks its range
 CASTS = {
@@ -88,7 +96,7 @@ SECTIONS = {
     # the keys that set no dataclass field are the only hand-written ones
     "data": {"path": str.strip, "blind_wells": _names,
              "allow_missing_pe": _boolean, "adjacency": str.strip},
-    "model": {**MODEL_KEYS, **INCEPTION_KEYS, "stages": _count},
+    "model": {**MODEL_KEYS, **INCEPTION_KEYS, "stages": _stage_count},
     "training": TRAINING_KEYS,
     "synth": {**SYNTH_KEYS, "wells": _count},
 }
@@ -192,14 +200,7 @@ def _blind_names(args, cfg):
 
 def _adjacency_table(args, cfg) -> FaciesTable:
     path = args.adjacency or cfg.data.get("adjacency")
-    if not path:
-        return FaciesTable()
-    try:
-        return load_adjacency(path)
-    except DataFormatError as exc:
-        # a broken adjacency file is a configuration problem, not
-        # malformed input
-        raise ConfigError(str(exc))
+    return load_adjacency(path) if path else FaciesTable()
 
 
 def _load_model_and_wells(args, cfg):
@@ -404,15 +405,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a missing or unreadable file, a directory
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except MissingLabelsError as exc:
         print(f"missing labels: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:  # unreadable or missing file, a directory given as a file
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -10,7 +10,7 @@ class NumericError(ArithmeticError):
 
 
 class DataFormatError(ValueError):
-    """Malformed input file (CSV, checkpoint, adjacency table)."""
+    """Malformed input file (CSV, checkpoint)."""
 
 
 class ConfigError(ValueError):

@@ -404,14 +404,18 @@ def _spec_from_manifest(path, get) -> ModelSpec:
 
 def _require_manifest(path, lines: list, expected: list) -> None:
     """DataFormatError at the first line that differs from the expected
-    manifest, naming the file and the key."""
+    manifest, naming the file and the key; ShapeError if it is a model's
+    well-formed in_channels or n_classes that the data does not have."""
     for n, (got, want) in enumerate(zip_longest(lines, expected), 1):
         if got != want:
             key, _, value = (got or "").partition(" = ")
             want_key, _, want_value = (want or "").partition(" = ")
             if key == want_key:
-                raise DataFormatError(f"{path}: manifest {key!r} must be {want_value}, "
-                                      f"got {value}")
+                message = f"{path}: manifest {key!r} must be {want_value}, got {value}"
+                if key in ("in_channels", "n_classes") and value.isdecimal() \
+                        and str(int(value)) == value:
+                    raise ShapeError(message)
+                raise DataFormatError(message)
             raise DataFormatError(f"{path}: manifest line {n} must be {want!r}, "
                                   f"got {got!r}")
 
@@ -424,7 +428,9 @@ def load_checkpoint(path) -> "Checkpoint":
     describes. A missing or malformed value, a standardizer entry that
     is not a finite mean with a finite std > 0, a repeated, unknown,
     reordered or otherwise written line, and non-finite parameters raise
-    DataFormatError naming the file and the key.
+    DataFormatError naming the file and the key. A well-formed
+    in_channels or n_classes of another size raises ShapeError: the file
+    is a model for other data.
     """
     with open(path, "rb") as fh:
         raw = fh.read()

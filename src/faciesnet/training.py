@@ -18,7 +18,7 @@ from . import ops
 from .errors import ConfigError, NumericError, ShapeError, check_rules
 from .evaluation import confusion, precision_recall_f1
 from .network import Checkpoint, ModelSpec, init_params, model_backward, model_forward
-from .welldata import (N_FACIES, apply_standardizer, extract_windows,
+from .welldata import (N_FACIES, WindowSet, apply_standardizer, extract_windows,
                        fit_standardizer, merge_window_sets, split_by_well)
 
 
@@ -139,38 +139,35 @@ def sgd_step(params: dict, grads: dict, velocity: dict,
         params[name] = p + v
 
 
-def _validate(spec, params, windows, labels):
+def _validate(spec, params, validation: WindowSet):
     """Inference-mode loss and macro-F1 on a held-out window set."""
-    labels = np.asarray(labels)
-    logits, _ = model_forward(spec, params, windows)
-    loss, _ = ops.softmax_xent(logits, labels - 1)
-    prf = precision_recall_f1(confusion(labels, logits.argmax(axis=1) + 1))
+    logits, _ = model_forward(spec, params, validation.windows)
+    loss, _ = ops.softmax_xent(logits, validation.labels - 1)
+    prf = precision_recall_f1(confusion(validation.labels, logits.argmax(axis=1) + 1))
     return loss, prf.macro_f1
 
 
-def train_on_windows(config: TrainConfig, windows, labels,
-                     spec: ModelSpec = ModelSpec(),
-                     val_windows=None, val_labels=None,
-                     class_weights: Optional[np.ndarray] = None,
+def train_on_windows(config: TrainConfig, train_set: WindowSet, spec: ModelSpec,
+                     validation: Optional[WindowSet] = None,
                      ) -> tuple[dict, TrainReport]:
     """The epoch loop over an already-extracted window set.
 
-    Shuffles with the seeded generator each epoch, steps per minibatch,
-    and tracks the best validation macro-F1 snapshot when a validation
-    set is given; otherwise the final parameters win. train_acc rows
-    are running accuracies from the training-mode (dropout-active)
-    forward passes. A NumericError (the run diverged: a forward pass
-    overflowed, or its logits are not finite) is re-raised naming the
-    epoch, and the batch of a training step; the backward pass never
-    sees the infinities.
+    Weights the loss by the training labels' compute_class_weights when
+    config.use_class_weights is set. Shuffles with the seeded generator
+    each epoch, steps per minibatch, and tracks the best validation
+    macro-F1 snapshot when a non-empty validation set is given; otherwise
+    the final parameters win. train_acc rows are running accuracies from
+    the training-mode (dropout-active) forward passes. A NumericError (the
+    run diverged) is re-raised naming the epoch, and the batch of a
+    training step; the backward pass never sees the infinities.
     """
-    windows = np.asarray(windows)
-    labels = np.asarray(labels)
+    windows, labels = train_set.windows, train_set.labels
     if len(windows) == 0:
         raise ConfigError("no training windows")
     if len(windows) != len(labels):
         raise ShapeError(f"{len(windows)} windows but {len(labels)} labels")
-    have_val = val_windows is not None and len(val_windows) > 0
+    class_weights = compute_class_weights(labels) if config.use_class_weights else None
+    have_val = validation is not None and len(validation.windows) > 0
 
     params = init_params(spec, config.seed)
     rng = np.random.default_rng(config.seed)
@@ -201,8 +198,7 @@ def train_on_windows(config: TrainConfig, windows, labels,
         stop = False
         if have_val:
             try:
-                row.val_loss, row.val_macro_f1 = _validate(spec, params,
-                                                           val_windows, val_labels)
+                row.val_loss, row.val_macro_f1 = _validate(spec, params, validation)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, validation: {exc}") from exc
             if row.val_macro_f1 > best_f1:
@@ -237,20 +233,12 @@ def train(config: TrainConfig, train_wells: list,
         raise ConfigError("no training wells")
 
     standardizer = fit_standardizer(train_wells)
-    train_set = merge_window_sets(
-        [extract_windows(apply_standardizer(standardizer, w), spec.window)
-         for w in train_wells])
-    val_windows = val_labels = None
-    if validation_wells:
-        val_set = merge_window_sets(
-            [extract_windows(apply_standardizer(standardizer, w), spec.window)
-             for w in validation_wells])
-        val_windows, val_labels = val_set.windows, val_set.labels
 
-    class_weights = (compute_class_weights(train_set.labels)
-                     if config.use_class_weights else None)
-    params, report = train_on_windows(config, train_set.windows, train_set.labels,
-                                      spec=spec, val_windows=val_windows,
-                                      val_labels=val_labels,
-                                      class_weights=class_weights)
+    def window_set(wells):
+        return merge_window_sets([extract_windows(apply_standardizer(standardizer, w),
+                                                  spec.window) for w in wells])
+
+    params, report = train_on_windows(
+        config, window_set(train_wells), spec,
+        validation=window_set(validation_wells) if validation_wells else None)
     return Checkpoint(spec, params, standardizer, config.seed), report

@@ -2,6 +2,7 @@
 depth-window extraction, and train/blind splitting by whole wells."""
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,7 +58,8 @@ def default_adjacency() -> dict:
 
 
 def load_adjacency(path) -> FaciesTable:
-    """Read an adjacency map from lines like ``WS: MS, D, PS`` (codes or ids)."""
+    """Read an adjacency map from lines like ``WS: MS, D, PS`` (codes or ids);
+    a broken file is a configuration problem, a ConfigError naming it."""
     code_to_id = {c.upper(): i + 1 for i, c in enumerate(FACIES_CODES)}
 
     def to_id(token, line_no):
@@ -67,9 +69,9 @@ def load_adjacency(path) -> FaciesTable:
         try:
             f = int(token)
         except ValueError:
-            raise DataFormatError(f"{path}: line {line_no}: unknown facies {token!r}")
+            raise ConfigError(f"{path}: line {line_no}: unknown facies {token!r}")
         if not 1 <= f <= N_FACIES:
-            raise DataFormatError(f"{path}: line {line_no}: facies id {f} out of range")
+            raise ConfigError(f"{path}: line {line_no}: facies id {f} out of range")
         return f
 
     try:
@@ -83,7 +85,7 @@ def load_adjacency(path) -> FaciesTable:
         if not line:
             continue
         if ":" not in line:
-            raise DataFormatError(f"{path}: line {line_no}: expected 'facies: neighbours'")
+            raise ConfigError(f"{path}: line {line_no}: expected 'facies: neighbours'")
         left, right = line.split(":", 1)
         f = to_id(left, line_no)
         ids = [to_id(t, line_no) for t in right.split(",") if t.strip()]
@@ -123,15 +125,20 @@ class Well:
 
 
 def _utf8_error(path) -> DataFormatError:
-    """The error for a file that does not decode as UTF-8, naming the row
-    of its first bad byte (the text layer decodes in chunks, so the
-    byte is found in the raw file)."""
+    """The error for a file that does not decode as UTF-8, naming the
+    record of its first bad byte (the text layer decodes in chunks, so the
+    byte is found in the raw file), or for an oversized cell before it."""
     with open(path, "rb") as raw:
         data = raw.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        row_no = data.count(b"\n", 0, exc.start) + 1
+        # the sentinel counts the bad byte's record after a line break
+        prefix = data[:exc.start].decode("utf-8-sig") + "x"
+        try:
+            row_no = sum(1 for _ in _records(path, io.StringIO(prefix, newline="")))
+        except DataFormatError as fault:
+            return fault
         return DataFormatError(f"{path}: row {row_no}: not UTF-8 text")
     return DataFormatError(f"{path}: not UTF-8 text")
 

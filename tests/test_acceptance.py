@@ -21,7 +21,7 @@ from faciesnet.network import (Checkpoint, InceptionSpec, ModelSpec,
                                inception_forward, init_params, model_forward)
 from faciesnet.synth import SynthConfig, generate_wells
 from faciesnet.training import TrainConfig, train, train_on_windows
-from faciesnet.welldata import (FaciesTable, default_adjacency, fit_standardizer,
+from faciesnet.welldata import (FaciesTable, WindowSet, default_adjacency, fit_standardizer,
                                 impute_pe, parse_csv, write_csv)
 
 CONTEST_ENV = "FACIES_CONTEST_CSV"
@@ -150,8 +150,8 @@ def test_criterion_4_memorization(announce):
     windows = rng.standard_normal((64, 7, 31)).astype(np.float32)
     labels = rng.integers(1, 10, size=64)
     config = TrainConfig(epochs=500)
-    params, _ = train_on_windows(config, windows, labels)
     spec = ModelSpec()
+    params, _ = train_on_windows(config, WindowSet(windows, labels), spec)
     logits, _ = model_forward(spec, params, windows)
     acc = float((logits.argmax(axis=1) + 1 == labels).mean())
     elapsed = time.perf_counter() - t0

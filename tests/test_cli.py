@@ -670,6 +670,14 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
      _insert_after(b"seed = ", b"comment = hello"), 3, ("{bad}", "comment")),
     ("ckpt-noncanonical", PREDICT, "checkpoint", _manifest_line(b"window = ", b"window = 09"),
      3, ("{bad}: manifest 'window' must be 9, got 09",)),
+    # a size line that is no canonical integer is malformed, not a model
+    # for other data
+    ("ckpt-classes-noncanonical", PREDICT, "checkpoint",
+     _manifest_line(b"n_classes = ", b"n_classes = 09"), 3,
+     ("malformed input: {bad}: manifest 'n_classes' must be 9, got 09",)),
+    ("ckpt-channels-not-integer", PREDICT, "checkpoint",
+     _manifest_line(b"in_channels = ", b"in_channels = x"), 3,
+     ("malformed input: {bad}: manifest 'in_channels' must be 7, got x",)),
     # a gap in a log nothing imputes, named by its channel and depth
     ("csv-log-gap", PREDICT, "data", _first_row_cell(4, b""), 3,
      ("well SYNTH040: GR at depth",)),
@@ -680,6 +688,11 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
     ("validation-well-unknown", TRAIN, "config",
      _set_key("training", "validation_wells", "NOPE"), 2,
      ("configuration error: validation_wells not in data: ['NOPE']",)),
+    # a stage count past any window once built a tuple that long: an
+    # OverflowError traceback here, 8 GB at 10**9
+    ("config-stages-huge", TRAIN, "config",
+     _set_key("model", "stages", "10000000000000000000"), 2,
+     ("{bad}", "[model] stages = '10000000000000000000': must be <= 32")),
 ]
 # a consistent checkpoint whose input or output size is not the data's
 SIZE_ROWS = [
@@ -688,7 +701,7 @@ SIZE_ROWS = [
     ("ckpt-3-channels", "in_channels", 3, {"stem.kernels": 1}, 7),
 ]
 HOSTILE += [(f"{name}-{command[0]}", command, "checkpoint", _resize_model(key, value, resized),
-             3, (f"{{bad}}: manifest '{key}' must be {size}, got {value}",))
+             3, (f"data/model mismatch: {{bad}}: manifest '{key}' must be {size}, got {value}",))
             for name, key, value, resized, size in SIZE_ROWS for command in (PREDICT, EVALUATE)]
 
 # one value breaking one rule of a config dataclass, or the stages/wells

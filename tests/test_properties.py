@@ -10,8 +10,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from faciesnet import welldata as wd
-from faciesnet.errors import DataFormatError
+from faciesnet.cli import SECTIONS, Config, load_config
+from faciesnet.errors import ConfigError, DataFormatError, ShapeError
+from faciesnet.network import Checkpoint, InceptionSpec, ModelSpec, init_params
+from faciesnet.synth import SynthConfig, generate_well
 from test_welldata import CELL_TEXTS, HEADER
+
+# one budget for every property: the same examples on every run, few enough
+# to keep the suite fast
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 COLUMNS = HEADER.split(",")
 # texts that pass every rule of their column (a blank Facies is unlabeled);
@@ -56,8 +64,7 @@ def _fault(path):
     return None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(SETTINGS, max_examples=200)
 @given(rows=st.lists(csv_rows(), min_size=1, max_size=12))
 def test_csv_fails_at_its_first_row_that_fails_alone(tmp_path, monkeypatch, rows):
     monkeypatch.setattr(wd, "_BLOCK_ROWS", 3)  # several blocks in most files
@@ -80,3 +87,127 @@ def test_csv_fails_at_its_first_row_that_fails_alone(tmp_path, monkeypatch, rows
         assert fault == "no data rows"
     else:
         assert fault is None or WHOLE_FILE_FAULT.fullmatch(fault)
+
+
+@st.composite
+def with_bad_byte(draw, text):
+    """The UTF-8 bytes of text, sometimes with a byte order mark in front or
+    a byte that is not UTF-8 inside."""
+    raw = text.encode()
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+# config texts: every section and key the reader knows, next to hostile
+# headers, keys, values and lines
+HEADERS = [f"[{name}]" for name in SECTIONS] + ["[Model]", "[nope]", "[]", "[model"]
+KEYS = sorted({key for keys in SECTIONS.values() for key in keys}) + ["nope", "Window"]
+VALUES = ["1", "3", "9", "31", "0", "-1", "0.5", "1e-3", "1e309", "nan", "-inf", "", " ",
+          "x", "09", "1_0", "true", "off", "8,0", "8,,16", "SYNTH040,SYNTH040", "%(x)s",
+          "a%b", "%%", "10000000000000000000", "\u00b2", "\u0663"]
+LINES = ["# comment", "; comment", "  indented continuation", "no separator", "= value"]
+
+
+@st.composite
+def config_texts(draw):
+    lines = draw(st.lists(st.sampled_from(LINES), max_size=1))  # before any header
+    for header in draw(st.lists(st.sampled_from(HEADERS), max_size=4)):
+        # mostly the section's own keys, so some files load
+        own = sorted(SECTIONS.get(header.strip("[]"), KEYS))
+        key_line = st.one_of(
+            st.builds("{}{}{}".format, st.sampled_from(own) | st.sampled_from(KEYS),
+                      st.sampled_from([" = ", "=", ": "]), st.sampled_from(VALUES)),
+            st.sampled_from(LINES))
+        lines += [header, *draw(st.lists(key_line, max_size=4))]
+    return draw(with_bad_byte("\n".join(lines) + "\n"))
+
+
+@SETTINGS
+@given(raw=config_texts())
+def test_config_loads_or_raises_config_error(tmp_path, raw):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(load_config(path), Config)
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+
+
+# adjacency lines: codes and ids, next to tokens no facies has and lines
+# without a colon; the default map's lines make a valid file possible
+TOKENS = ["SS", "ws", "D", " PS ", "1", "9", "0", "10", "-1", "x", "", "1.5", "\u00b2",
+          "\u0663", "99999999999999999999"]
+DEFAULT_LINES = [f"{f}: {', '.join(map(str, sorted(n)))}"
+                 for f, n in wd.default_adjacency().items()]
+
+
+@st.composite
+def adjacency_texts(draw):
+    line = st.one_of(
+        st.builds(lambda left, right: f"{left}: {', '.join(right)}", st.sampled_from(TOKENS),
+                  st.lists(st.sampled_from(TOKENS), max_size=3)),
+        st.sampled_from(DEFAULT_LINES + ["# comment", "", "WS MS D", ":", "WS:", "::"]))
+    return draw(with_bad_byte("\n".join(draw(st.lists(line, max_size=12)))))
+
+
+@SETTINGS
+@given(raw=adjacency_texts())
+def test_adjacency_loads_or_raises_config_error(tmp_path, raw):
+    path = tmp_path / "adj.txt"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(wd.load_adjacency(path), wd.FaciesTable)
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+
+
+@pytest.fixture(scope="module")
+def small_fnet(tmp_path_factory):
+    """The bytes of a one-stage checkpoint with a fitted standardizer."""
+    spec = ModelSpec(window=9, stem_kernel=3, stem_channels=4,
+                     stages=(InceptionSpec(2, 2, 3, 2, 2, 5, 2, 2),), fc_sizes=(8,))
+    well = generate_well(SynthConfig(n_samples=50, seed=3))
+    path = tmp_path_factory.mktemp("fnet") / "small.fnet"
+    Checkpoint(spec, init_params(spec, 3), wd.fit_standardizer([well]), 3).save(path)
+    return path.read_bytes()
+
+
+# (where, how, byte): set, insert or delete the byte at a position, or cut
+# the file there; most positions fall in the text manifest
+MUTATIONS = st.tuples(st.one_of(st.integers(0, 800), st.integers(0, 10**6)),
+                      st.sampled_from(["set", "insert", "delete", "cut"]),
+                      st.sampled_from(b"0179-. \n=ex\xff\x00") | st.integers(0, 255))
+
+
+def _mutate(raw, mutations):
+    data = bytearray(raw)
+    for where, how, byte in mutations:
+        at = where % (len(data) + 1)
+        if how == "insert":
+            data[at:at] = bytes([byte])
+        elif how == "cut":
+            del data[at:]
+        elif at < len(data):
+            if how == "set":
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+@SETTINGS
+@given(mutations=st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_mutated_checkpoint_fails_or_saves_its_bytes(small_fnet, tmp_path, mutations):
+    path, again = tmp_path / "m.fnet", tmp_path / "again.fnet"
+    path.write_bytes(_mutate(small_fnet, mutations))
+    try:
+        checkpoint = Checkpoint.load(path)
+    except (DataFormatError, ShapeError) as exc:
+        assert str(path) in str(exc)
+        return
+    checkpoint.save(again)
+    assert again.read_bytes() == path.read_bytes()

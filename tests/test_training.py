@@ -5,6 +5,7 @@ well-level pipeline."""
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from faciesnet.network import (InceptionSpec, ModelSpec, init_params,
 from faciesnet.synth import SynthConfig, generate_well, generate_wells
 from faciesnet.training import (TrainConfig, compute_class_weights, sgd_step,
                                 train, train_on_windows, _validate)
-from faciesnet.welldata import (apply_standardizer, extract_windows,
-                                fit_standardizer)
+from faciesnet.welldata import (WindowSet, apply_standardizer, extract_windows,
+                                fit_standardizer, merge_window_sets)
 
 
 def cross_entropy(logits, facies, class_weights=None):
@@ -178,42 +179,40 @@ class TestSgdStep:
 def synth_windows(n_samples=200, seed=0, window=9, sigma=0.5):
     well = generate_well(SynthConfig(n_samples=n_samples, sigma=sigma, seed=seed))
     std = fit_standardizer([well])
-    ws = extract_windows(apply_standardizer(std, well), window)
-    return ws.windows, ws.labels
+    return extract_windows(apply_standardizer(std, well), window)
 
 
 class TestTrainOnWindows:
     def test_bit_identical_across_runs(self):
-        x, y = synth_windows()
+        data = synth_windows()
         cfg = TrainConfig(epochs=5, batch_size=32, seed=3)
         spec = small_spec(dropout=0.25)
-        params_a, report_a = train_on_windows(cfg, x, y, spec=spec)
-        params_b, report_b = train_on_windows(cfg, x, y, spec=spec)
+        params_a, report_a = train_on_windows(cfg, data, spec)
+        params_b, report_b = train_on_windows(cfg, data, spec)
         for name in params_a:
             assert np.array_equal(params_a[name], params_b[name])
         assert report_a.rows == report_b.rows
 
     def test_seed_changes_trajectory(self):
-        x, y = synth_windows()
+        data = synth_windows()
         spec = small_spec()
-        a, _ = train_on_windows(TrainConfig(epochs=2, seed=0), x, y, spec=spec)
-        b, _ = train_on_windows(TrainConfig(epochs=2, seed=1), x, y, spec=spec)
+        a, _ = train_on_windows(TrainConfig(epochs=2, seed=0), data, spec)
+        b, _ = train_on_windows(TrainConfig(epochs=2, seed=1), data, spec)
         assert not np.array_equal(a["stem.kernels"], b["stem.kernels"])
 
     def test_fixed_batch_loss_nonincreasing(self):
         # full-batch steps at a small lr descend; SGD noise allowance <= 5
-        x, y = synth_windows(n_samples=64 + 8, window=9)
-        cfg = TrainConfig(epochs=100, batch_size=len(x),
+        data = synth_windows(n_samples=64 + 8, window=9)
+        cfg = TrainConfig(epochs=100, batch_size=len(data),
                           learning_rate=1e-3, lr_decay_every=0)
-        _, report = train_on_windows(cfg, x, y, spec=small_spec())
+        _, report = train_on_windows(cfg, data, small_spec())
         losses = [r.train_loss for r in report.rows]
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
         assert violations <= 5
 
     def test_report_row_per_epoch(self):
-        x, y = synth_windows()
         cfg = TrainConfig(epochs=4)
-        _, report = train_on_windows(cfg, x, y, spec=small_spec())
+        _, report = train_on_windows(cfg, synth_windows(), small_spec())
         assert [r.epoch for r in report.rows] == [1, 2, 3, 4]
         assert report.best_epoch == 4
         assert all(math.isnan(r.val_loss) for r in report.rows)
@@ -222,55 +221,51 @@ class TestTrainOnWindows:
         # loss trail alone cannot show lr, so drive a 1-epoch-decay run
         # and compare to an undecayed twin: trajectories must split at
         # epoch 2 and only then
-        x, y = synth_windows()
+        data = synth_windows()
         spec = small_spec()
         base = dict(epochs=3, batch_size=32, seed=5)
         _, decayed = train_on_windows(
-            TrainConfig(lr_decay_every=1, lr_decay_factor=0.5, **base),
-            x, y, spec=spec)
-        _, flat = train_on_windows(
-            TrainConfig(lr_decay_every=0, **base), x, y, spec=spec)
+            TrainConfig(lr_decay_every=1, lr_decay_factor=0.5, **base), data, spec)
+        _, flat = train_on_windows(TrainConfig(lr_decay_every=0, **base), data, spec)
         assert decayed.rows[0] == flat.rows[0]
         assert decayed.rows[1] != flat.rows[1]
 
     def test_empty_windows_rejected(self):
         with pytest.raises(ConfigError):
-            train_on_windows(TrainConfig(),
-                             np.zeros((0, 7, 9), dtype=np.float32), np.zeros(0))
+            train_on_windows(TrainConfig(), WindowSet(np.zeros((0, 7, 9), dtype=np.float32),
+                                                      np.zeros(0)), small_spec())
 
     def test_window_label_count_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            train_on_windows(TrainConfig(),
-                             np.zeros((3, 7, 9), dtype=np.float32), np.ones(2))
+            train_on_windows(TrainConfig(), WindowSet(np.zeros((3, 7, 9), dtype=np.float32),
+                                                      np.ones(2)), small_spec())
 
     def test_spec_window_mismatch_rejected(self):
-        x, y = synth_windows(window=9)
         with pytest.raises(ShapeError):
-            train_on_windows(TrainConfig(), x, y, spec=small_spec(window=11))
+            train_on_windows(TrainConfig(), synth_windows(window=9), small_spec(window=11))
 
 
 class TestEarlyStopping:
     def build(self, patience, epochs=40):
-        x, y = synth_windows(n_samples=300, seed=1, sigma=1.5)
-        vx, vy = synth_windows(n_samples=120, seed=2, sigma=1.5)
+        validation = synth_windows(n_samples=120, seed=2, sigma=1.5)
         cfg = TrainConfig(epochs=epochs, batch_size=32,
                           patience=patience, seed=0)
         spec = small_spec()
-        params, report = train_on_windows(cfg, x, y, spec=spec,
-                                          val_windows=vx, val_labels=vy)
-        return params, report, spec, vx, vy
+        params, report = train_on_windows(cfg, synth_windows(n_samples=300, seed=1, sigma=1.5),
+                                          spec, validation=validation)
+        return params, report, spec, validation
 
     def test_kept_params_match_best_observed_f1(self):
-        params, report, spec, vx, vy = self.build(patience=3)
+        params, report, spec, validation = self.build(patience=3)
         best_row = report.rows[report.best_epoch - 1]
         observed = [r.val_macro_f1 for r in report.rows]
         assert best_row.val_macro_f1 == max(observed)
-        _, refit_f1 = _validate(spec, params, vx, vy)
+        _, refit_f1 = _validate(spec, params, validation)
         assert refit_f1 == best_row.val_macro_f1
 
     def test_patience_truncates_run(self):
-        _, patient, _, _, _ = self.build(patience=2)
-        _, full, _, _, _ = self.build(patience=0)
+        _, patient, _, _ = self.build(patience=2)
+        _, full, _, _ = self.build(patience=0)
         assert len(patient.rows) <= len(full.rows)
         # the run ends exactly `patience` epochs after the best one
         # unless it survived to the horizon
@@ -278,7 +273,7 @@ class TestEarlyStopping:
             assert len(patient.rows) == patient.best_epoch + 2
 
     def test_val_columns_populated(self):
-        _, report, _, _, _ = self.build(patience=0, epochs=3)
+        _, report, _, _ = self.build(patience=0, epochs=3)
         assert all(not math.isnan(r.val_macro_f1) for r in report.rows)
         assert all(not math.isnan(r.val_loss) for r in report.rows)
 
@@ -329,12 +324,33 @@ class TestTrainWells:
         with pytest.raises(ConfigError):
             train(self.config(), [])
 
+    def test_train_is_train_on_windows_of_its_window_sets(self):
+        # class weighting and validation are read from the config and the
+        # sets alone, so a direct call on the window sets train builds
+        # gives train's weighted parameters and report, bit for bit
+        wells = generate_wells(SynthConfig(n_samples=150, p_stay=0.9, seed=20), 3)
+        cfg = self.config(use_class_weights=True, validation_wells=("SYNTH022",))
+        spec = small_spec()
+        ckpt, report = train(cfg, wells, spec)
+
+        def window_set(some):
+            return merge_window_sets([extract_windows(
+                apply_standardizer(ckpt.standardizer, w), spec.window) for w in some])
+
+        train_set, validation = window_set(wells[:2]), window_set(wells[2:])
+        assert not np.array_equal(compute_class_weights(train_set.labels), np.ones(9))
+        params, direct = train_on_windows(cfg, train_set, spec, validation=validation)
+        assert all(np.array_equal(params[name], ckpt.params[name]) for name in params)
+        assert direct.rows == report.rows
+        unweighted, _ = train_on_windows(replace(cfg, use_class_weights=False), train_set,
+                                         spec, validation=validation)
+        assert not all(np.array_equal(params[name], unweighted[name]) for name in params)
+
 
 class TestTrainReportFiles:
     def build_report(self):
         cfg = TrainConfig(epochs=3, batch_size=32, seed=1)
-        _, report = train_on_windows(cfg, *synth_windows(n_samples=120),
-                                     spec=small_spec())
+        _, report = train_on_windows(cfg, synth_windows(n_samples=120), small_spec())
         return report
 
     def test_csv_round_trip(self, tmp_path):

@@ -90,6 +90,28 @@ class TestParseCsv:
         with pytest.raises(DataFormatError, match="row 3"):
             wd.parse_csv(p)
 
+    @pytest.mark.parametrize("cell, message", [
+        (b"x", "row 4: non-numeric GR value 'x'"),
+        (b"\xff", "row 4: not UTF-8 text"),
+    ])
+    def test_bad_byte_row_counts_records_not_lines(self, tmp_path, cell, message):
+        # row 3's Formation cell holds a line break, so row 4 starts on
+        # the file's fifth line; a bad byte is named by its record too
+        p = tmp_path / "a.csv"
+        p.write_bytes(HEADER.encode() + b'\n1,F,W,1.0,1,1,1,1,1,1,1\n'
+                      b'1,"F\nG",W,2.0,1,1,1,1,1,1,1\n1,F,W,3.0,' + cell + b',1,1,1,1,1,1\n')
+        with pytest.raises(DataFormatError, match=re.escape(f"{p}: {message}")):
+            wd.parse_csv(p)
+
+    def test_oversized_cell_before_a_bad_byte_is_reported(self, tmp_path):
+        # both faults sit in one decoded chunk: the cell comes first
+        p = tmp_path / "a.csv"
+        p.write_bytes(HEADER.encode() + b"\n1,F,W,1.0," + b"1" * 200_000
+                      + b"\xff,1,1,1,1,1,1\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{p}: row 2: field larger than field limit")):
+            wd.parse_csv(p)
+
     def test_gap_cells_become_nan(self, tmp_path):
         p = tmp_path / "a.csv"
         write_rows(p, ["1,F,W,1.0,1,1,1,1,,1,1"])
@@ -499,7 +521,7 @@ class TestFaciesTable:
     def test_load_adjacency_malformed(self, tmp_path):
         p = tmp_path / "adj.txt"
         p.write_text("WS MS D\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             wd.load_adjacency(p)
 
     def test_load_adjacency_asymmetric(self, tmp_path):
