@@ -26,8 +26,8 @@ from .errors import (ConfigError, DataFormatError, MissingLabelsError,
                      NumericError, ShapeError)
 from .evaluation import (evaluate, export_plot_data, predict_with_confidence,
                          write_metrics_json, write_predictions)
-from .network import Checkpoint, InceptionSpec, ModelSpec
-from .synth import SynthConfig, generate_wells
+from .network import MAX_STAGES, Checkpoint, InceptionSpec, ModelSpec
+from .synth import MAX_SAMPLES, SynthConfig, generate_wells
 from .training import TrainConfig, train
 from .welldata import (FaciesTable, fit_standardizer, impute_pe, load_adjacency,
                        parse_csv, split_by_well, write_csv)
@@ -35,7 +35,6 @@ from .welldata import (FaciesTable, fit_standardizer, impute_pe, load_adjacency,
 GRADCHECK_SEEDS = range(5)
 GRADCHECK_TOLERANCE = 1e-4
 SYNTH_WELLS = 1  # wells `synth` writes when [synth] wells is not set
-MAX_STAGES = 32  # a window must exceed 2^(stages - 1) samples
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +171,11 @@ def load_config(path, seed=None) -> Config:
         training=build(TrainConfig, "training", TRAINING_KEYS),
         synth=build(SynthConfig, "synth", SYNTH_KEYS),
         synth_wells=values.get("synth", {}).get("wells", SYNTH_WELLS))
+    n_samples = config.synth.n_samples
+    if config.synth_wells * n_samples > MAX_SAMPLES:
+        errors.append(f"[synth] wells must be <= {MAX_SAMPLES // n_samples} for n_samples = "
+                      f"{n_samples} (at most {MAX_SAMPLES} samples in all), "
+                      f"got {config.synth_wells}")
     if errors:
         raise ConfigError(f"config file {path}:\n  " + "\n  ".join(errors))
     if seed is not None:

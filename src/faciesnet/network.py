@@ -7,6 +7,7 @@ name -> ndarray. Parameters are immutable during inference; training
 code owns and mutates its own dict.
 """
 
+import math
 from dataclasses import astuple, dataclass
 from itertools import zip_longest
 from typing import Optional
@@ -23,6 +24,16 @@ POOL_KERNEL = 2   # between-stage downsampling drops every other sample
 POOL_STRIDE = 2
 BRANCH_POOL_KERNEL = 3  # inside the inception pool branch: stride 1, same padding
 INFERENCE_BATCH = 256  # windows per inference-mode forward pass
+MAX_WINDOW = 1001  # samples in a window, about 500 ft of log at the contest's half foot
+MAX_STAGES = 32  # a window must exceed 2^(stages - 1) samples
+# float32 params, gradients and momentum stay near 120 MB
+MAX_PARAMS = 10_000_000
+# the keys that size a conv layer's kernels (c_out, c_in, k), by layer id; an
+# fc or out layer is sized by fc_sizes
+_SIZE_KEYS = {"stem": ("stem_channels", "stem_kernel"), "b1": ("branch_1x1", None),
+              "b2r": ("reduce_small", None), "b2": ("small_channels", "small_kernel"),
+              "b3r": ("reduce_large", None), "b3": ("large_channels", "large_kernel"),
+              "b4": ("pool_proj", None)}
 
 
 def _odd_positive(n: int) -> bool:
@@ -80,11 +91,14 @@ class ModelSpec:
         rules = [
             (_odd_positive(self.window),
              f"window must be odd and >= 1, got {self.window}"),
+            (self.window <= MAX_WINDOW, f"window must be <= {MAX_WINDOW}, got {self.window}"),
             (self.stem_kernel == 0 or _odd_positive(self.stem_kernel),
              f"stem_kernel must be 0 (no stem) or odd and >= 1, got {self.stem_kernel}"),
             (self.stem_channels >= 1,
              f"stem_channels must be >= 1, got {self.stem_channels}"),
             (len(self.stages) >= 1, "stages must hold at least one inception stage"),
+            (len(self.stages) <= MAX_STAGES,
+             f"stages must be <= {MAX_STAGES}, got {len(self.stages)}"),
             (all(s >= 1 for s in self.fc_sizes),
              f"fc_sizes must all be >= 1, got {self.fc_sizes}"),
             (0.0 <= self.dropout < 1.0, f"dropout must be in [0, 1), got {self.dropout}"),
@@ -96,6 +110,15 @@ class ModelSpec:
                 f"window = {self.window} is too short for stages = "
                 f"{len(self.stages)}: it leaves the last stage {shortest} "
                 f"sample(s), fewer than the pool kernel {POOL_KERNEL}"))
+        if all(holds for holds, _ in rules):
+            shapes = param_shapes(self)
+            total = sum(map(math.prod, shapes.values()))
+            largest = max(shapes, key=lambda name: math.prod(shapes[name]))
+            channels, kernel = _SIZE_KEYS.get(largest.split(".")[-2], ("fc_sizes", None))
+            key = kernel if kernel and shapes[largest][2] > shapes[largest][0] else channels
+            rules.append((total <= MAX_PARAMS,
+                          f"{key} and the other sizes give the model {total} parameters, "
+                          f"more than {MAX_PARAMS}: {largest} has shape {shapes[largest]}"))
         check_rules(rules)
 
     @property

@@ -17,6 +17,7 @@ from .welldata import CHANNELS, N_FACIES, Well
 
 DEPTH_START = 1000.0
 DEPTH_STEP = 0.5
+MAX_SAMPLES = 1_000_000  # samples synth writes, over all its wells: about 100 MB of CSV
 
 
 def default_means() -> np.ndarray:
@@ -37,6 +38,8 @@ class SynthConfig:
     def __post_init__(self):
         check_rules([
             (self.n_samples >= 1, f"n_samples must be >= 1, got {self.n_samples}"),
+            (self.n_samples <= MAX_SAMPLES,
+             f"n_samples must be <= {MAX_SAMPLES}, got {self.n_samples}"),
             (0.0 <= self.p_stay < 1.0, f"p_stay must be in [0, 1), got {self.p_stay}"),
             (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),

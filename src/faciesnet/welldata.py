@@ -2,8 +2,8 @@
 depth-window extraction, and train/blind splitting by whole wells."""
 
 import csv
-import io
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,6 +26,9 @@ _NUMERIC_FIELDS = ("Depth",) + CHANNELS + ("Facies",)
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 # rows converted at once: bounds the parser's memory at any file length
 _BLOCK_ROWS = 2048
+# the CSV is decoded with errors="surrogateescape", so a byte that is not
+# UTF-8 reads as one of these lone surrogates, which UTF-8 text never holds
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -124,25 +127,6 @@ class Well:
         return len(self.depth)
 
 
-def _utf8_error(path) -> DataFormatError:
-    """The error for a file that does not decode as UTF-8, naming the
-    record of its first bad byte (the text layer decodes in chunks, so the
-    byte is found in the raw file), or for an oversized cell before it."""
-    with open(path, "rb") as raw:
-        data = raw.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the sentinel counts the bad byte's record after a line break
-        prefix = data[:exc.start].decode("utf-8-sig") + "x"
-        try:
-            row_no = sum(1 for _ in _records(path, io.StringIO(prefix, newline="")))
-        except DataFormatError as fault:
-            return fault
-        return DataFormatError(f"{path}: row {row_no}: not UTF-8 text")
-    return DataFormatError(f"{path}: not UTF-8 text")
-
-
 def parse_csv(path, allow_missing_pe: bool = False) -> list:
     """Read wells from the contest-layout CSV.
 
@@ -150,8 +134,8 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
     PE,NM_M,RELPOS. Facies is optional; a Formation column is accepted
     and not read. Rows are grouped by well name and depth-sorted; empty
     and `nan` numeric cells become NaN gaps (in Facies, unlabeled
-    samples). A numeric cell is any text `float()` reads. Non-UTF-8
-    bytes, an oversized cell, a row with more or fewer cells than the
+    samples). A numeric cell is any text `float()` reads. An oversized
+    cell, non-UTF-8 bytes, a row with more or fewer cells than the
     header, a blank Well Name, a non-numeric or infinite value, a missing
     Depth, a log value outside the float32 range, a Facies cell that is
     not an integer facies id 1..9, a depth repeated within a well and a
@@ -159,10 +143,7 @@ def parse_csv(path, allow_missing_pe: bool = False) -> list:
     first bad row (both rows for a repeated depth); a row breaking
     several rules is reported for the first one in that order.
     """
-    try:
-        well_ids, of_row, row_nos, values = _read_rows(path, allow_missing_pe)
-    except UnicodeDecodeError:
-        raise _utf8_error(path)
+    well_ids, of_row, row_nos, values = _read_rows(path, allow_missing_pe)
 
     # rows of each well in file order, wells in order of first appearance
     by_well = np.split(np.argsort(of_row, kind="stable"),
@@ -198,12 +179,14 @@ def _read_rows(path, allow_missing_pe):
     appearance, each row's well index, row numbers, the
     (len(_NUMERIC_FIELDS), n_rows) values). A byte order mark before the
     header is not part of its first column."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = _records(path, fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: empty file")
+        if _NOT_UTF8.search("".join(header)):
+            raise DataFormatError(f"{path}: row 1: not UTF-8 text")
         header = [h.strip() for h in header]
         col = {name: i for i, name in enumerate(header)}
 
@@ -242,9 +225,8 @@ def _records(path, fh):
 
 def _row_blocks(reader):
     """(row numbers, rows) of the non-blank rows, in blocks of at most
-    _BLOCK_ROWS. A decoding error or an oversized cell is raised after
-    the block of the rows read before it, so a fault in one of those is
-    reported first."""
+    _BLOCK_ROWS. An oversized cell is raised after the block of the rows
+    read before it, so a fault in one of those is reported first."""
     row_nos, rows = [], []
     try:
         for row_no, row in enumerate(reader, start=2):
@@ -254,7 +236,7 @@ def _row_blocks(reader):
                 if len(rows) == _BLOCK_ROWS:
                     yield row_nos, rows
                     row_nos, rows = [], []
-    except (UnicodeDecodeError, DataFormatError):
+    except DataFormatError:
         if rows:
             yield row_nos, rows
         raise
@@ -271,7 +253,8 @@ def _block_values(path, col, width, row_nos, rows):
     breaks, in the order a row is read.
     """
     widths = np.fromiter(map(len, rows), int, len(rows))
-    if (widths != width).any():  # the width rule comes first: read such rows as blanks
+    not_utf8 = _not_utf8(rows)
+    if (widths != width).any():  # the width rule precedes the cell rules: read as blanks
         rows = [row if len(row) == width else [""] * width for row in rows]
     cells = list(zip(*rows))
     names = cells[col["Well Name"]]
@@ -282,7 +265,8 @@ def _block_values(path, col, width, row_nos, rows):
             values[k], rejected[k] = _column_floats(cells[col[field]])
 
     # (rows breaking the rule, field, message), in the order a row is read
-    rules = [(widths != width, None, "{cells} cells for {width} header columns"),
+    rules = [(not_utf8, None, "not UTF-8 text"),
+             (widths != width, None, "{cells} cells for {width} header columns"),
              (np.array([not name.strip() for name in names]), None, "missing Well Name")]
     for k, field in enumerate(_NUMERIC_FIELDS):
         rules += [(rejected[k], field, "non-numeric {field} value {text!r}"),
@@ -305,6 +289,16 @@ def _block_values(path, col, width, row_nos, rows):
         raise DataFormatError(f"{path}: row {row_nos[i]}: " + message.format(
             cells=widths[i], width=width, well=names[i].strip(), field=field, text=text))
     return values
+
+
+def _not_utf8(rows) -> np.ndarray:
+    """Which rows hold a byte that is not UTF-8. An all-ASCII block is
+    passed at once; rows are searched one by one only in a block that
+    holds such a byte."""
+    text = "".join(map("".join, rows))
+    if text.isascii() or not _NOT_UTF8.search(text):
+        return np.zeros(len(rows), dtype=bool)
+    return np.array([_NOT_UTF8.search("".join(row)) is not None for row in rows])
 
 
 def _column_floats(texts):

@@ -721,6 +721,10 @@ RULE_ROWS = [
     ("training", "validation_wells", "SYNTH040,SYNTH040"),
     ("synth", "n_samples", "0"), ("synth", "p_stay", "1.0"), ("synth", "sigma", "-0.5"),
     ("synth", "seed", "-1"), ("synth", "wells", "0"),
+    # a size past its cap once ended in a numpy memory error traceback (exit 1)
+    ("synth", "n_samples", "1000000000000000"), ("model", "window", "1000000001"),
+    ("model", "fc_sizes", "1000000000"), ("model", "stem_channels", "100000000"),
+    ("synth", "wells", "1000"),
 ]
 HOSTILE += [(f"{section}-{key}={value}", SYNTH if section == "synth" else TRAIN,
              "config", _set_key(section, key, value), 2, ("{bad}", f"[{section}] {key}"))

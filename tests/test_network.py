@@ -1,6 +1,7 @@
 """Model assembly tests: spec validation, initialization statistics,
 inception block behaviour, full forward/backward, and checkpoint io."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from faciesnet import network, ops
 from faciesnet.errors import ConfigError, DataFormatError, NumericError, ShapeError
-from faciesnet.network import (Checkpoint, InceptionSpec, ModelSpec, inception_forward,
-                               init_params, load_checkpoint, model_backward,
-                               model_forward, param_shapes, pooled_length)
+from faciesnet.network import (MAX_PARAMS, MAX_STAGES, MAX_WINDOW, Checkpoint,
+                               InceptionSpec, ModelSpec, inception_forward, init_params,
+                               load_checkpoint, model_backward, model_forward,
+                               param_shapes, pooled_length)
 from faciesnet.welldata import CHANNELS, Standardizer, Well, window_matrix
 
 
@@ -87,6 +89,25 @@ class TestSpecs:
         # window 1 gives each stage 1 sample, short of its pool kernel of 2
         with pytest.raises(ConfigError, match="window"):
             ModelSpec(window=1)
+
+    def test_window_and_stages_are_capped(self):
+        ModelSpec(window=MAX_WINDOW)
+        with pytest.raises(ConfigError, match=f"window must be <= {MAX_WINDOW}, got"):
+            ModelSpec(window=MAX_WINDOW + 2)
+        with pytest.raises(ConfigError, match=f"stages must be <= {MAX_STAGES}, got"):
+            ModelSpec(stages=(InceptionSpec(),) * (MAX_STAGES + 1))
+
+    def test_parameter_count_is_capped(self):
+        # the largest fc0 the cap admits, and one unit more
+        def count(size):
+            shapes = param_shapes(ModelSpec(fc_sizes=(size,)))
+            return sum(math.prod(s) for s in shapes.values())
+        per_unit = count(2) - count(1)
+        size = 1 + (MAX_PARAMS - count(1)) // per_unit
+        assert count(size) <= MAX_PARAMS
+        with pytest.raises(ConfigError, match="fc_sizes and the other sizes give the model "
+                                              f"{count(size) + per_unit} parameters"):
+            ModelSpec(fc_sizes=(size + 1,))
 
     def test_dropout_range_enforced(self):
         with pytest.raises(ConfigError):

@@ -4,13 +4,14 @@ in the reader's own error, never in anything else."""
 import csv
 import re
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from faciesnet import welldata as wd
-from faciesnet.cli import SECTIONS, Config, load_config
+from faciesnet.cli import SECTIONS, Config, load_config, main
 from faciesnet.errors import ConfigError, DataFormatError, ShapeError
 from faciesnet.network import Checkpoint, InceptionSpec, ModelSpec, init_params
 from faciesnet.synth import SynthConfig, generate_well
@@ -27,6 +28,8 @@ COLUMNS = HEADER.split(",")
 GOOD = {"Facies": ["2", "5", ""], "Formation": ["F"], "Well Name": ["A", "B"],
         "Depth": ["1", "2", "2.5"]}
 LOGS = ["0.5", "-3"]
+# a cell text _write writes as the byte 0xff, which is not UTF-8
+NOT_UTF8 = "\udcff"
 # the message of a file whose rows each pass on their own
 WHOLE_FILE_FAULT = re.compile(r"rows \d+ and \d+: well .+: depth .+ repeated, so depth is "
                               r"not strictly increasing|well .+: partially labeled \(some "
@@ -36,11 +39,12 @@ WHOLE_FILE_FAULT = re.compile(r"rows \d+ and \d+: well .+: depth .+ repeated, so
 @st.composite
 def csv_rows(draw):
     """A row of texts its columns accept, up to two of them replaced by
-    CELL_TEXTS (blank names among them); of the header's width, or a short
-    or long one."""
+    CELL_TEXTS (blank names among them) or a byte that is not UTF-8; of the
+    header's width, or a short or long one."""
     cells = [draw(st.sampled_from(GOOD.get(name, LOGS))) for name in COLUMNS]
     for k, text in draw(st.lists(st.tuples(st.integers(0, len(COLUMNS) - 1),
-                                           st.sampled_from(CELL_TEXTS)), max_size=2)):
+                                           st.sampled_from(CELL_TEXTS + [NOT_UTF8])),
+                                 max_size=2)):
         cells[k] = text
     width = draw(st.sampled_from([len(COLUMNS)] * 6 + [0, 3, len(COLUMNS) - 1,
                                                        len(COLUMNS) + 1, len(COLUMNS) + 2]))
@@ -48,7 +52,8 @@ def csv_rows(draw):
 
 
 def _write(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """The rows under the header; NOT_UTF8 is written as its byte."""
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
         writer.writerows(rows)
@@ -77,7 +82,9 @@ def test_csv_fails_at_its_first_row_that_fails_alone(tmp_path, monkeypatch, rows
     fault = _fault(path)
 
     for row, message in zip(rows, alone):
-        if len(row) != len(COLUMNS) and "".join(row).strip():
+        if NOT_UTF8 in "".join(row):  # the first rule a row is checked for
+            assert message == "row 2: not UTF-8 text"
+        elif len(row) != len(COLUMNS) and "".join(row).strip():
             assert message == f"row 2: {len(row)} cells for {len(COLUMNS)} header columns"
     row_faults = [(i, m) for i, m in enumerate(alone) if m and m.startswith("row 2: ")]
     if row_faults:
@@ -87,6 +94,63 @@ def test_csv_fails_at_its_first_row_that_fails_alone(tmp_path, monkeypatch, rows
         assert fault == "no data rows"
     else:
         assert fault is None or WHOLE_FILE_FAULT.fullmatch(fault)
+
+
+@pytest.fixture
+def small_fnet_file(small_fnet, tmp_path):
+    path = tmp_path / "small.fnet"
+    path.write_bytes(small_fnet)
+    return path
+
+
+@SETTINGS
+@given(rows=st.lists(csv_rows(), min_size=1, max_size=12))
+def test_csv_through_predict_exits_cleanly(small_fnet_file, tmp_path, capsys, rows):
+    # a file either predicts or is malformed input; nothing escapes main
+    path = tmp_path / "a.csv"
+    _write(path, rows)
+    assert main(["predict", str(small_fnet_file), str(path),
+                 "--out", str(tmp_path / "out")]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# well names as the parser reads them back: stripped and not blank, with
+# non-ASCII text, commas and quotes
+NAMES = st.text(st.sampled_from('AZaz09 ,"\'.-_\u00f5\u03a9\u5357'), min_size=1,
+                max_size=8).map(str.strip).filter(bool)
+LOG_VALUES = st.floats(-wd.FLOAT32_MAX, wd.FLOAT32_MAX)
+
+
+@st.composite
+def well_lists(draw):
+    """Wells with distinct names, some unlabeled, some with PE gaps."""
+    wells = []
+    for name in draw(st.lists(NAMES, min_size=1, max_size=4, unique=True)):
+        depth = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5,
+                                     unique=True)))
+        n = len(depth)
+        logs = np.array(draw(st.lists(LOG_VALUES, min_size=7 * n, max_size=7 * n)))
+        logs = logs.reshape(len(wd.CHANNELS), n)
+        logs[wd.PE, draw(st.lists(st.integers(0, n - 1), max_size=n))] = np.nan
+        labels = draw(st.none() | st.lists(st.integers(1, wd.N_FACIES), min_size=n,
+                                           max_size=n))
+        wells.append(wd.Well(name, np.array(depth), logs,
+                             None if labels is None else np.array(labels)))
+    return wells
+
+
+@SETTINGS
+@given(wells=well_lists())
+def test_csv_round_trip_gives_the_same_wells(tmp_path, wells):
+    path = tmp_path / "a.csv"
+    wd.write_csv(wells, path)
+    back = wd.parse_csv(path)
+    assert [w.name for w in back] == [w.name for w in wells]
+    for got, want in zip(back, wells):
+        assert np.array_equal(got.depth, want.depth)
+        assert np.array_equal(got.channels, want.channels, equal_nan=True)
+        assert (got.labels is None) == (want.labels is None)
+        assert want.labels is None or np.array_equal(got.labels, want.labels)
 
 
 @st.composite

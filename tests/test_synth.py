@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from faciesnet.errors import ConfigError
-from faciesnet.synth import SynthConfig, default_means, generate_well, generate_wells
+from faciesnet.synth import (MAX_SAMPLES, SynthConfig, default_means, generate_well,
+                             generate_wells)
 from faciesnet.welldata import parse_csv, write_csv
 
 
@@ -24,6 +25,11 @@ class TestConfig:
     def test_bad_p_stay_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig(p_stay=1.0)
+
+    def test_n_samples_is_capped(self):
+        SynthConfig(n_samples=MAX_SAMPLES)
+        with pytest.raises(ConfigError, match=f"n_samples must be <= {MAX_SAMPLES}"):
+            SynthConfig(n_samples=MAX_SAMPLES + 1)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):

@@ -103,8 +103,19 @@ class TestParseCsv:
         with pytest.raises(DataFormatError, match=re.escape(f"{p}: {message}")):
             wd.parse_csv(p)
 
+    def test_first_bad_row_is_reported_before_a_later_bad_byte(self, tmp_path):
+        # both rows sit in one decoded chunk, whose bad byte was once
+        # reported first
+        p = tmp_path / "a.csv"
+        p.write_bytes(HEADER.encode() + b"\n1,F,W,1.0,x,1,1,1,1,1,1\n1,F,W,2.0,1,1,1,1,1,1,1\n"
+                      b"1,\xff,W,3.0,1,1,1,1,1,1,1\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"{p}: row 2: non-numeric GR value 'x'")):
+            wd.parse_csv(p)
+
     def test_oversized_cell_before_a_bad_byte_is_reported(self, tmp_path):
-        # both faults sit in one decoded chunk: the cell comes first
+        # both faults sit in row 2: the csv reader stops at the cell before
+        # the row's rules are checked
         p = tmp_path / "a.csv"
         p.write_bytes(HEADER.encode() + b"\n1,F,W,1.0," + b"1" * 200_000
                       + b"\xff,1,1,1,1,1,1\n")
