@@ -7,9 +7,10 @@ name -> ndarray. Parameters are immutable during inference; training
 code owns and mutates its own dict.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import astuple, dataclass
-from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -23,11 +24,16 @@ CHECKPOINT_MAGIC = "#fnet v1"
 POOL_KERNEL = 2   # between-stage downsampling drops every other sample
 POOL_STRIDE = 2
 BRANCH_POOL_KERNEL = 3  # inside the inception pool branch: stride 1, same padding
-INFERENCE_BATCH = 256  # windows per inference-mode forward pass
+INFERENCE_BATCH = 256  # windows per chunk of an inference-mode forward pass
 MAX_WINDOW = 1001  # samples in a window, about 500 ft of log at the contest's half foot
 MAX_STAGES = 32  # a window must exceed 2^(stages - 1) samples
 # float32 params, gradients and momentum stay near 120 MB
 MAX_PARAMS = 10_000_000
+# floats per window in the layer outputs and im2col matrices of a forward
+# pass (ModelSpec._activation_floats): 2 MB per window at float32, so a
+# training batch of 64 keeps its activations near 128 MB, twice that with
+# its caches
+MAX_ACTIVATIONS = 2 ** 19
 # the keys that size a conv layer's kernels (c_out, c_in, k), by layer id; an
 # fc or out layer is sized by fc_sizes
 _SIZE_KEYS = {"stem": ("stem_channels", "stem_kernel"), "b1": ("branch_1x1", None),
@@ -119,7 +125,61 @@ class ModelSpec:
             rules.append((total <= MAX_PARAMS,
                           f"{key} and the other sizes give the model {total} parameters, "
                           f"more than {MAX_PARAMS}: {largest} has shape {shapes[largest]}"))
+            arrays = self._activation_floats
+            total = sum(floats for _, floats, _ in arrays)
+            _, largest, key = max(arrays, key=lambda array: array[1])
+            rules.append((total <= MAX_ACTIVATIONS,
+                          f"{key} and the other sizes give each window {total} floats of "
+                          f"layer outputs and im2col matrices, more than {MAX_ACTIVATIONS}: "
+                          f"the largest array holds {largest}"))
         check_rules(rules)
+
+    @functools.cached_property
+    def _activation_floats(self) -> tuple:
+        """(slot, floats per window, config key) of each array an
+        inference pass writes, in layer order: each layer's output and
+        each im2col matrix (a 1x1 conv reads its input as its matrix).
+        The key is the size that sets the array's channels, or the kernel
+        when it is the larger factor of an im2col matrix.
+
+        The slot is the workspace buffer the array lives in: "trunk" for
+        the input copy, the stem, each stage's concatenated branches and
+        pooled output, the flattened features and the fc layers; "branch"
+        for each branch conv before its ReLU, "reduce" for the 1x1
+        reductions and the branch pool, "col" for im2col matrices. The
+        workspace sizes each slot for its largest array. The spec's rules
+        cap the sum of them all, which bounds a training batch's
+        activations too.
+        """
+        arrays = [("trunk", self.in_channels * self.window, "window")]
+        shapes = param_shapes(self)
+
+        def conv(slot, name, length, in_key):
+            """Adds a conv layer's arrays; returns the key of its channels."""
+            c_out, c_in, k = shapes[f"{name}.kernels"]
+            channels, kernel = _SIZE_KEYS[name.split(".")[-1]]
+            if k > 1:
+                arrays.append(("col", c_in * k * length, kernel if k > c_in else in_key))
+            arrays.append((slot, c_out * length, channels))
+            return channels
+
+        key = "window"
+        if self.stem_kernel:
+            key = conv("trunk", "stem", self.window, key)
+        lengths = self.stage_lengths()
+        for i, (st, length) in enumerate(zip(self.stages, lengths)):
+            conv("branch", f"s{i}.b1", length, key)
+            conv("branch", f"s{i}.b2", length, conv("reduce", f"s{i}.b2r", length, key))
+            conv("branch", f"s{i}.b3", length, conv("reduce", f"s{i}.b3r", length, key))
+            arrays.append(("reduce", shapes[f"s{i}.b4.kernels"][1] * length, key))
+            conv("branch", f"s{i}.b4", length, key)
+            key = max(("branch_1x1", "small_channels", "large_channels", "pool_proj"),
+                      key=lambda name: getattr(st, name))
+            arrays += [("trunk", st.out_channels * length, key),
+                       ("trunk", st.out_channels * lengths[i + 1], key)]
+        arrays.append(("trunk", self.flatten_size(), key))
+        arrays += [("trunk", size, "fc_sizes") for size in self.fc_sizes]
+        return tuple(arrays)
 
     @property
     def in_channels(self) -> int:
@@ -196,11 +256,60 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> dict:
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def _conv_relu(params, name, x, training):
+class _Workspace:
+    """The buffers one inference pass writes its arrays into, sized for
+    `capacity` windows: one per slot of spec._activation_floats, sized for
+    the slot's largest array, except that the trunk has two, each sized
+    for the largest trunk array. Each trunk array is written while only
+    the one before it is read, so the k-th trunk array of a chunk lives
+    in trunk buffer k % 2. `n` windows and the `logits` rows they fill
+    are the current chunk's.
+
+    Each buffer is its own allocation, no larger than the largest array
+    a chunk of fresh arrays would make, so glibc's heap thresholds stay
+    where fresh arrays put them. One allocation of all of them made glibc
+    keep up to twice its size free on the heap, and a training process
+    that also scores grew its resident set by 4-5 MB."""
+
+    def __init__(self, spec: ModelSpec, capacity: int, dtype):
+        floats = {}
+        for slot, count, _ in spec._activation_floats:
+            floats[slot] = max(floats.get(slot, 0), count)
+        floats["trunk0"] = floats["trunk1"] = floats.pop("trunk")
+        self.buffers = {slot: np.empty(capacity * count, dtype)
+                        for slot, count in floats.items()}
+        self.n, self.logits, self.turn = capacity, None, 0
+
+    def chunk(self, logits: np.ndarray) -> None:
+        """Start a chunk whose logits are written into `logits`."""
+        self.n, self.logits, self.turn = len(logits), logits, 0
+
+    def rows(self, slot: str, *shape: int) -> np.ndarray:
+        """A C-contiguous (n, *shape) array at the head of a slot's buffer."""
+        if slot == "trunk":
+            slot, self.turn = f"trunk{self.turn % 2}", self.turn + 1
+        return self.buffers[slot][:self.n * math.prod(shape)].reshape(self.n, *shape)
+
+    def series(self, slot: str, channels: int, length: int) -> np.ndarray:
+        """A (n, channels, length) array at the head of a slot's buffer,
+        channels last in memory like every activation."""
+        return self.rows(slot, length, channels).transpose(0, 2, 1)
+
+
+def _conv_relu(params, name, x, training, ws=None, slot=None, out=None):
     """Conv then ReLU; returns (output, cache) with cache = (x, pre-activation)
-    in training mode and None outside it."""
-    pre = ops.conv1d(x, params[f"{name}.kernels"], params[f"{name}.bias"])
-    return ops.relu(pre), ((x, pre) if training else None)
+    in training mode and None outside it. Given a workspace, the conv
+    writes into its `slot` and its im2col matrix into "col", and the
+    ReLU into `out`, or in place."""
+    kernels = params[f"{name}.kernels"]
+    pre = col = None
+    if ws is not None:
+        c_out, c_in, k = kernels.shape
+        pre = ws.series(slot, c_out, x.shape[2])
+        col = ws.rows("col", c_in * k * x.shape[2]) if k > 1 else None
+        out = pre if out is None else out
+    pre = ops.conv1d(x, kernels, params[f"{name}.bias"], out=pre, col=col)
+    return ops.relu(pre, out=out), ((x, pre) if training else None)
 
 
 def _conv_relu_backward(params, name, cache, grad, grads):
@@ -223,19 +332,34 @@ def inception_forward(params: dict, x: np.ndarray, prefix: str = "s0",
     the `{prefix}.*` parameters. The branch caches are returned in
     training mode only; outside it the cache is None.
     """
-    # each reduction and the pooled input are dropped once read, so an
-    # inference pass holds no more than the branch outputs at the concat
-    b1, c1 = _conv_relu(params, f"{prefix}.b1", x, training)
-    r2, c2r = _conv_relu(params, f"{prefix}.b2r", x, training)
-    b2, c2 = _conv_relu(params, f"{prefix}.b2", r2, training)
+    return _inception(params, x, prefix, training)
+
+
+def _inception(params, x, prefix, training, ws=None):
+    """inception_forward, writing into a workspace if given: then each
+    branch's ReLU writes its channels of one trunk buffer, which is the
+    output, so no concat is made."""
+    names = [f"{prefix}.{branch}" for branch in ("b1", "b2", "b3", "b4")]
+    outs = [None] * 4
+    if ws is not None:
+        ends = list(itertools.accumulate(params[f"{name}.bias"].size for name in names))
+        out = ws.series("trunk", ends[-1], x.shape[2])
+        outs = [out[:, lo:hi] for lo, hi in zip([0] + ends, ends)]
+    # each reduction and the pooled input are dropped once read
+    b1, c1 = _conv_relu(params, names[0], x, training, ws, "branch", outs[0])
+    r2, c2r = _conv_relu(params, f"{prefix}.b2r", x, training, ws, "reduce")
+    b2, c2 = _conv_relu(params, names[1], r2, training, ws, "branch", outs[1])
     del r2
-    r3, c3r = _conv_relu(params, f"{prefix}.b3r", x, training)
-    b3, c3 = _conv_relu(params, f"{prefix}.b3", r3, training)
+    r3, c3r = _conv_relu(params, f"{prefix}.b3r", x, training, ws, "reduce")
+    b3, c3 = _conv_relu(params, names[2], r3, training, ws, "branch", outs[2])
     del r3
-    pooled, pool_cache = ops.pool1d(x, BRANCH_POOL_KERNEL, 1, padding="same",
-                                    training=training)
-    b4, c4 = _conv_relu(params, f"{prefix}.b4", pooled, training)
+    pooled, pool_cache = ops.pool1d(
+        x, BRANCH_POOL_KERNEL, 1, padding="same", training=training,
+        out=None if ws is None else ws.series("reduce", *x.shape[1:]))
+    b4, c4 = _conv_relu(params, names[3], pooled, training, ws, "branch", outs[3])
     del pooled
+    if ws is not None:
+        return out, None
     out = ops.concat_channels([b1, b2, b3, b4])
     if not training:
         return out, None
@@ -271,12 +395,18 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
     Only training mode records what model_backward needs: dropout fires,
     drawing its masks from `rng`, the pools record their argmax, and
     every layer's cache is returned. Outside training the caches are
-    None, each layer's intermediates are freed once the next layer has
-    read its output, and a batch of more than INFERENCE_BATCH windows
-    runs INFERENCE_BATCH at a time, one model_forward call per chunk.
-    A pass that overflows float range, or makes a NaN from an infinity,
-    raises NumericError: numpy's floating-point warnings are raised
-    here rather than printed.
+    None, and a batch of more than INFERENCE_BATCH windows runs
+    INFERENCE_BATCH at a time through one workspace allocated for the
+    pass: each layer writes its output into one of a few buffers, which
+    every layer and chunk reuse, so a chunk allocates nothing. A batch
+    of one chunk makes its arrays fresh, as training does: glibc trims
+    a workspace freed at the end of a pass from its heap top, and the
+    next pass faults it back (277 faults per 60-window pass, which then
+    took 720 us instead of 505), while fresh arrays, freed one at a
+    time, leave no such block. Inference gives the bits of a
+    training-mode pass of each chunk at dropout 0. A pass that overflows
+    float range, or makes a NaN from an infinity, raises NumericError:
+    numpy's floating-point warnings are raised here rather than printed.
     """
     x = np.asarray(batch)
     if x.ndim != 3:
@@ -286,38 +416,59 @@ def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
                          f"({spec.in_channels}, {spec.window})")
     if training and spec.dropout > 0 and rng is None:
         raise ConfigError("training-mode forward with dropout needs an rng")
-    if not training and len(x) > INFERENCE_BATCH:
-        return np.concatenate([model_forward(spec, params, x[i:i + INFERENCE_BATCH])[0]
-                               for i in range(0, len(x), INFERENCE_BATCH)]), None
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _forward(spec, params, x, training, rng)
+            if training or len(x) <= INFERENCE_BATCH:
+                return _forward(spec, params, x, training, rng)
+            dtype = np.result_type(x, *params.values())
+            logits = np.empty((len(x), N_FACIES), dtype=dtype)
+            ws = _Workspace(spec, INFERENCE_BATCH, dtype)
+            for i in range(0, len(x), INFERENCE_BATCH):
+                ws.chunk(logits[i:i + INFERENCE_BATCH])
+                _forward(spec, params, x[i:i + INFERENCE_BATCH], False, None, ws)
+            return logits, None
     except FloatingPointError as exc:
         raise NumericError(str(exc)) from exc
 
 
-def _forward(spec, params, x, training, rng):
-    """model_forward's layers, run on one checked batch."""
+def _forward(spec, params, x, training, rng, ws=None):
+    """model_forward's layers, run on one checked batch. Without a
+    workspace every layer makes fresh arrays. With one, the batch is
+    copied into it, channels last like every activation, each layer
+    writes its output there, and the logits go to its rows."""
     caches = {"stem": None, "stages": [], "head": []}
+    if ws is not None:
+        inputs, x = x, ws.series("trunk", *x.shape[1:])
+        x[...] = inputs
     if spec.stem_kernel:
-        x, caches["stem"] = _conv_relu(params, "stem", x, training)
-    for i in range(len(spec.stages)):
-        x, inc_cache = inception_forward(params, x, f"s{i}", training)
-        x, pool_cache = ops.pool1d(x, POOL_KERNEL, POOL_STRIDE, training=training)
+        x, caches["stem"] = _conv_relu(params, "stem", x, training, ws, "trunk")
+    for i, stage in enumerate(spec.stages):
+        x, inc_cache = _inception(params, x, f"s{i}", training, ws)
+        x, pool_cache = ops.pool1d(
+            x, POOL_KERNEL, POOL_STRIDE, training=training,
+            out=None if ws is None else ws.series(
+                "trunk", stage.out_channels, pooled_length(x.shape[2])))
         if training:
             caches["stages"].append((inc_cache, pool_cache))
 
     caches["flat_shape"] = x.shape
-    x = x.reshape(x.shape[0], -1)
-    for j in range(len(spec.fc_sizes)):
-        pre = ops.dense(x, params[f"fc{j}.weights"], params[f"fc{j}.bias"])
-        act = ops.relu(pre)
+    if ws is None:
+        x = x.reshape(x.shape[0], -1)
+    else:
+        flat = ws.rows("trunk", x.shape[1] * x.shape[2])
+        flat.reshape(x.shape)[...] = x
+        x = flat
+    for j, size in enumerate(spec.fc_sizes):
+        out = None if ws is None else ws.rows("trunk", size)
+        pre = ops.dense(x, params[f"fc{j}.weights"], params[f"fc{j}.bias"], out=out)
+        act = ops.relu(pre, out=out)
         dropped, mask = ops.dropout(act, spec.dropout, rng, training)
         if training:
             caches["head"].append((x, pre, mask))
         x = dropped
-    logits = ops.dense(x, params["out.weights"], params["out.bias"])
+    logits = ops.dense(x, params["out.weights"], params["out.bias"],
+                       out=None if ws is None else ws.logits)
     if not training:
         return logits, None
     caches["out_in"] = x
@@ -429,7 +580,7 @@ def _require_manifest(path, lines: list, expected: list) -> None:
     """DataFormatError at the first line that differs from the expected
     manifest, naming the file and the key; ShapeError if it is a model's
     well-formed in_channels or n_classes that the data does not have."""
-    for n, (got, want) in enumerate(zip_longest(lines, expected), 1):
+    for n, (got, want) in enumerate(itertools.zip_longest(lines, expected), 1):
         if got != want:
             key, _, value = (got or "").partition(" = ")
             want_key, _, want_value = (want or "").partition(" = ")

@@ -16,15 +16,25 @@ view, and a pool scans whole channel rows. The ops accept a C-order
 batch too (as the network's input is) and give the same bits on it,
 at the cost of one transposing copy.
 
+The ops that write activations (conv1d and its im2col matrix, pool1d,
+relu, dense) take an optional `out` buffer and write their result into
+it instead of a fresh array, with the same bits: an inference pass
+reuses a few buffers across all its layers and chunks. A series `out`
+is a channels-last (B, C, L) view; a pool's may be a channel slice of a
+wider one.
+
 Convolutions are same-padded, so they keep the length. Each one is a
 single matmul over an im2col matrix that `K` slice copies of the input
-fill, with zeros where a window reaches past either end; the backward
-pass builds the same matrix.
+fill. Only the first and last (K-1)/2 rows of each window's block hold
+cells where the window reaches past an end; those rows are zeroed
+before the copies, not the whole matrix, so a reused buffer needs no
+clearing. The backward pass builds the same matrix.
 
 All functions are pure: state a backward pass needs is returned
 explicitly as a cache, never stored on a module or instance.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,16 +69,20 @@ class LayerCache:
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+           out: Optional[np.ndarray] = None,
+           col: Optional[np.ndarray] = None) -> np.ndarray:
     """Cross-correlate along the length axis, same-padded.
 
     out[b, o, t] = sum_c sum_k x[b, c, t + k - (K-1)/2] * kernels[o, c, k] + bias[o]
 
     Samples beyond either end count as zeros, so the length is preserved.
     K must be odd. One matmul of the (B*L, C*K) im2col matrix, which
-    `_im2col` fills with K slice copies, with the (O, C*K) kernels; the
+    `_im2col` fills with K slice copies (into the C-contiguous `col`
+    buffer of B*L*C*K floats, if given), with the (O, C*K) kernels; the
     bias is added in place into its (B*L, O) result, whose transpose
-    view is returned: channels last in memory.
+    view is returned: channels last in memory. Given a channels-last
+    `out`, the result is written there.
     """
     x = _require_batch(x, "conv1d")
     kernels = np.asarray(kernels)
@@ -84,26 +98,44 @@ def conv1d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
         raise ShapeError(f"bias must have shape ({n_out},), got {bias.shape}")
 
     b, _, length = x.shape
-    out = _im2col(x, k) @ kernels.reshape(n_out, n_in * k).T   # (B*L, O)
-    out += bias
-    return out.reshape(b, length, n_out).transpose(0, 2, 1)
+    rows = None if out is None else _view(out.transpose(0, 2, 1), (b * length, n_out))
+    rows = np.matmul(_im2col(x, k, col), kernels.reshape(n_out, n_in * k).T, out=rows)
+    rows += bias
+    return rows.reshape(b, length, n_out).transpose(0, 2, 1)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """buffer reshaped to `shape` without a copy: an op writes its result
+    through this view into the caller's buffer, so the buffer must be
+    C-contiguous (then reshape never copies) and of the result's size."""
+    if not buffer.flags.c_contiguous or buffer.size != math.prod(shape):
+        raise ShapeError(f"output buffer of shape {buffer.shape} and strides "
+                         f"{buffer.strides} cannot hold a {shape} result in place")
+    return buffer.reshape(shape)
+
+
+def _im2col(x: np.ndarray, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The (B*L, C*K) matrix whose row b*L + t holds, channel by channel,
     the K samples x[b, c, t - (K-1)/2 : t + (K+1)/2], zero past the ends.
 
     x is read in (B, L, C) order, a free view when it lies channels last
     and one copy otherwise; column j of every channel is then one slice
-    copy of it, shifted by j - (K-1)/2, into a zeroed (B, L, C, K) array.
-    For K = 1 that view is the matrix.
+    copy of it, shifted by j - (K-1)/2, into a (B, L, C, K) array (`out`,
+    if given) whose first and last (K-1)/2 rows, the only ones with a
+    sample past an end, are zeroed first. Every cell is written, so
+    `out` may hold stale values. For K = 1 the (B, L, C) view is the
+    matrix.
     """
     b, c, length = x.shape
     xt = np.ascontiguousarray(x.transpose(0, 2, 1))
     if k == 1:
         return xt.reshape(b * length, c)
     pad = (k - 1) // 2
-    col = np.zeros((b, length, c, k), dtype=x.dtype)
+    shape = (b, length, c, k)
+    col = np.empty(shape, dtype=x.dtype) if out is None else _view(out, shape)
+    # only the first and last pad rows hold cells past an end
+    col[:, :pad] = 0
+    col[:, max(pad, length - pad):] = 0
     for j in range(k):
         shift = j - pad
         lo, hi = max(0, -shift), min(length, length - shift)
@@ -142,7 +174,8 @@ def conv1d_backward(grad: np.ndarray, x: np.ndarray,
 # pooling
 
 def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
-           training: bool = False) -> tuple[np.ndarray, LayerCache]:
+           training: bool = False,
+           out: Optional[np.ndarray] = None) -> tuple[np.ndarray, LayerCache]:
     """Max-pool along the length axis.
 
     "valid" emits a window at every multiple of `stride` that starts
@@ -154,16 +187,22 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
     first maximum wins, as in argmax. Outside training no argmax is
     computed and the cache's positions are empty.
 
-    Works by shifted slices of the input in (B, L, C) order (a "same"
-    pool first copies it, edge rows included, into a (B, Lp, C) buffer):
-    offset j of every window is the strided slice xp[:, j::stride], so
-    the pool is `kernel` elementwise steps over whole (B, n, C) arrays,
-    and the slice clipping at the end of the input is what shortens the
-    trailing window. In training, step j sets a window's uint8 argmax
+    Works by strided slices of the input in (B, L, C) order: offset j of
+    window w is sample w*stride + j - pad_left, so offset j of every
+    window that reads inside the input is one strided slice, and the
+    pool is `kernel` elementwise steps over whole (B, n, C) arrays. A
+    window that starts in the left pad takes the first sample at offset
+    0, and one that starts in the right pad the last sample. A later
+    offset past either end would read a replicated edge sample the
+    window has already read, which changes neither its max nor its
+    argmax, so it is skipped; that is also what shortens a trailing
+    "valid" window. In training, step j sets a window's uint8 argmax
     offset to max(offset, j * (sample > max so far)): j exceeds every
     earlier offset, so a strictly greater sample moves the offset to j
     and an equal one leaves the first maximum. The values, and the int64
-    positions of logical shape (B, C, n), are returned channels last.
+    positions of logical shape (B, C, n), are returned channels last;
+    given `out`, a (B, C, n) view that may be a channel slice of a wider
+    channels-last buffer, the values are written there.
     """
     x = _require_batch(x, "pool1d")
     if kernel < 1 or stride < 1:
@@ -172,32 +211,40 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
     b, c, length = x.shape
     xt = x.transpose(0, 2, 1)   # (B, L, C): a free view of a channels-last x
     if padding == "same":
-        pad_left = (kernel - 1) // 2
-        xp = np.empty((b, length + kernel - 1, c), dtype=x.dtype)
-        xp[:, pad_left:pad_left + length] = xt
-        xp[:, :pad_left] = xt[:, :1]
-        xp[:, pad_left + length:] = xt[:, -1:]
+        pad_left, lp = (kernel - 1) // 2, length + kernel - 1
     elif padding == "valid":
         if length < kernel:
             raise ShapeError(f"input length {length} shorter than pool kernel {kernel}")
-        pad_left = 0
-        xp = xt
+        pad_left, lp = 0, length
     else:
         raise ConfigError(f"unknown padding {padding!r}")
 
-    lp = xp.shape[1]
     n_out = -(-min(lp, lp - kernel + stride) // stride)
-    span = (n_out - 1) * stride + 1
-    vals = xp[:, 0:span:stride].copy()
+    if out is None:
+        vals = np.empty((b, n_out, c), dtype=x.dtype)
+    elif out.shape != (b, c, n_out):
+        raise ShapeError(f"output buffer shape {out.shape} != pooled shape {(b, c, n_out)}")
+    else:
+        vals = out.transpose(0, 2, 1)
     if training:
         offset = np.zeros(vals.shape, dtype=np.min_scalar_type(kernel - 1))
-    for j in range(1, kernel):
-        shifted = xp[:, j:j + span:stride]
-        n = shifted.shape[1]
-        head = vals[:, :n]
+    for j in range(kernel):
+        # windows first:stop read sample w*stride + j - pad_left inside x
+        first = -(-max(0, pad_left - j) // stride)
+        stop = max(first, min(n_out, (length - 1 + pad_left - j) // stride + 1))
+        start = first * stride + j - pad_left
+        shifted = xt[:, start:start + (stop - first) * stride:stride]
+        if j == 0:
+            vals[:, first:stop] = shifted
+            if first:
+                vals[:, :first] = xt[:, :1]
+            if stop < n_out:
+                vals[:, stop:] = xt[:, -1:]
+            continue
+        head = vals[:, first:stop]
         if training:
             moved = np.greater(shifted, head) * offset.dtype.type(j)
-            np.maximum(offset[:, :n], moved, out=offset[:, :n])
+            np.maximum(offset[:, first:stop], moved, out=offset[:, first:stop])
         np.maximum(head, shifted, out=head)
     if training:
         pos = (offset + (np.arange(n_out) * stride)[:, None]).transpose(0, 2, 1)
@@ -247,15 +294,19 @@ def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dense, relu, softmax, concat, dropout
 
-def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map: weights (M, N) applied to a (B, N) input."""
+def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Affine map: weights (M, N) applied to a (B, N) input, written into
+    the (B, M) `out` if given."""
     x = np.asarray(x)
     m, n = weights.shape
     if x.shape[-1] != n:
         raise ShapeError(f"dense expects {n} inputs, got {x.shape[-1]}")
     if bias.shape != (m,):
         raise ShapeError(f"bias must have shape ({m},), got {bias.shape}")
-    return x @ weights.T + bias
+    y = np.matmul(x, weights.T, out=out)
+    y += bias
+    return y
 
 
 def dense_backward(grad: np.ndarray, x: np.ndarray,
@@ -269,9 +320,9 @@ def dense_backward(grad: np.ndarray, x: np.ndarray,
     return grad @ weights, grad.T @ x, grad.sum(axis=0)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x), 0)
+def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Elementwise max(0, x), written into `out` (which may be x) if given."""
+    return np.maximum(np.asarray(x), 0, out=out)
 
 
 def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:

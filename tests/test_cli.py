@@ -725,6 +725,8 @@ RULE_ROWS = [
     ("synth", "n_samples", "1000000000000000"), ("model", "window", "1000000001"),
     ("model", "fc_sizes", "1000000000"), ("model", "stem_channels", "100000000"),
     ("synth", "wells", "1000"),
+    # within the parameter cap, but 64 x 100000 x 31 floats per stem activation
+    ("model", "stem_channels", "100000"),
 ]
 HOSTILE += [(f"{section}-{key}={value}", SYNTH if section == "synth" else TRAIN,
              "config", _set_key(section, key, value), 2, ("{bad}", f"[{section}] {key}"))

@@ -8,11 +8,16 @@ because both sides divide and sum the same integers the same way.
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import faciesnet
 from faciesnet import evaluation, network
 from faciesnet.errors import DataFormatError, ShapeError
 from faciesnet.evaluation import (ConfusionMatrix, accuracy, adjacent_accuracy,
@@ -229,6 +234,27 @@ def labeled_well(n=40, seed=0, name="W"):
                 labels=rng.integers(1, 10, size=n))
 
 
+# minor page faults of the second predict_with_confidence pass over a
+# 12,000-sample well, in a fresh process: the first pass sets glibc's
+# dynamic allocation thresholds
+FAULT_PROBE = """
+import resource
+import numpy as np
+from faciesnet.evaluation import predict_with_confidence
+from faciesnet.network import Checkpoint, ModelSpec, init_params
+from faciesnet.welldata import CHANNELS, Standardizer, Well
+spec, n = ModelSpec(), 12_000
+model = Checkpoint(spec, init_params(spec, 0),
+                   Standardizer(np.zeros(len(CHANNELS)), np.ones(len(CHANNELS))))
+well = Well("W", np.arange(n, dtype=float),
+            np.random.default_rng(0).standard_normal((len(CHANNELS), n)))
+predict_with_confidence(model, well)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+predict_with_confidence(model, well)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestPredictWithConfidence:
     def test_one_prediction_per_depth(self):
         series = predict_with_confidence(tiny_checkpoint(), labeled_well(40))
@@ -292,6 +318,21 @@ class TestPredictWithConfidence:
             for i in range(0, len(windows), INFERENCE_BATCH)])
         series = predict_with_confidence(model, well)
         assert series.probs.tobytes() == expected.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts Linux minor page faults")
+    def test_long_well_pass_does_not_refault_its_heap(self):
+        # a pass that allocated per chunk let glibc trim its heap top after
+        # most chunks and fault it back on the next: about 41k minor faults
+        # per pass over this well, against about 2k with one workspace
+        run = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True,
+                             text=True, timeout=60, env={
+                                 **os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                 "PYTHONPATH": os.pathsep.join(
+                                     [str(Path(faciesnet.__file__).parents[1]),
+                                      os.environ.get("PYTHONPATH", "")])})
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 8000
 
     @pytest.mark.parametrize("std", [1e-300, 1e-310], ids=["past-float32", "past-float64"])
     def test_standardized_value_outside_float32_names_well_channel_depth(self, std):

@@ -109,6 +109,14 @@ class TestSpecs:
                                               f"{count(size) + per_unit} parameters"):
             ModelSpec(fc_sizes=(size + 1,))
 
+    def test_activation_floats_are_capped(self):
+        # 100000 stem channels pass the parameter cap, but each stem
+        # activation and the first branch pool hold 31 x 100000 floats
+        ModelSpec(window=MAX_WINDOW)
+        with pytest.raises(ConfigError, match="stem_channels and the other sizes give each "
+                                              "window 6212694 floats"):
+            ModelSpec(stem_channels=100_000)
+
     def test_dropout_range_enforced(self):
         with pytest.raises(ConfigError):
             ModelSpec(dropout=1.0)
@@ -271,14 +279,26 @@ class TestModelForward:
                              rng=np.random.default_rng(1))
         assert not np.array_equal(a, b)
 
-    def test_inference_logits_equal_training_logits_at_dropout_0(self):
-        spec = ModelSpec(dropout=0.0)
-        params = init_params(spec, seed=6)
-        x = np.random.default_rng(6).standard_normal((5, 7, 31)).astype(np.float32)
+    # an inference pass reuses its workspace across layers and chunks: a
+    # stale im2col edge cell or a wrong view of the last, shorter chunk
+    # would change bits that a training-mode pass of each chunk keeps
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(dropout=0.0),
+        ModelSpec(stem_kernel=0, dropout=0.0),
+        ModelSpec(window=61, stages=(InceptionSpec(),) * 3, dropout=0.0),
+    ], ids=["default", "no-stem", "3-stages-w61"])
+    @pytest.mark.parametrize("n", [1, 4, 9, 60, 255, 256, 257, 600])
+    def test_inference_logits_equal_training_logits_at_dropout_0(self, n, spec, dtype):
+        params = init_params(spec, seed=6, dtype=dtype)
+        x = np.random.default_rng(n).standard_normal((n, 7, spec.window)).astype(dtype)
         inferred, caches = model_forward(spec, params, x)
-        trained, _ = model_forward(spec, params, x, training=True)
+        step = network.INFERENCE_BATCH
+        trained = np.concatenate([model_forward(spec, params, x[i:i + step], training=True)[0]
+                                  for i in range(0, n, step)])
         assert caches is None
-        np.testing.assert_array_equal(inferred.view(np.int32), trained.view(np.int32))
+        assert inferred.dtype == dtype
+        assert inferred.tobytes() == trained.tobytes()
 
     def test_batch_rows_independent(self):
         spec = tiny_spec()
@@ -290,8 +310,9 @@ class TestModelForward:
             np.testing.assert_allclose(row[0], whole[i], rtol=1e-5, atol=1e-6)
 
     def test_inference_runs_inference_batch_windows_per_call(self, monkeypatch):
-        # a window_matrix view with one chunk boundary inside it: one call
-        # per chunk, and the bits of per-chunk calls on contiguous copies
+        # a window_matrix view with one chunk boundary inside it: one pass
+        # runs the stem conv once per chunk, with the bits of per-chunk
+        # calls on contiguous copies
         spec = tiny_spec()
         params = init_params(spec, seed=7)
         n, rng = network.INFERENCE_BATCH + 37, np.random.default_rng(7)
@@ -302,15 +323,16 @@ class TestModelForward:
         expected = np.concatenate([
             model_forward(spec, params, np.ascontiguousarray(windows[i:i + step]))[0]
             for i in range(0, n, step)])
-        sizes, forward = [], network.model_forward
+        stem_batches, conv1d = [], ops.conv1d
 
-        def counted(spec, params, batch, *args, **kwargs):
-            sizes.append(len(batch))
-            return forward(spec, params, batch, *args, **kwargs)
+        def counted(x, kernels, *args, **kwargs):
+            if kernels is params["stem.kernels"]:
+                stem_batches.append(len(x))
+            return conv1d(x, kernels, *args, **kwargs)
 
-        monkeypatch.setattr(network, "model_forward", counted)
-        logits, caches = network.model_forward(spec, params, windows)
-        assert sizes == [n, step, 37]
+        monkeypatch.setattr(ops, "conv1d", counted)
+        logits, caches = model_forward(spec, params, windows)
+        assert stem_batches == [step, 37]
         assert caches is None
         assert logits.tobytes() == expected.tobytes()
 

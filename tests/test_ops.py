@@ -173,6 +173,27 @@ class TestConv1d:
         with pytest.raises(ShapeError, match="odd"):
             ops.conv1d(np.zeros((1, 1, 8)), np.zeros((1, 1, 2)), np.zeros(1))
 
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_output_buffers_full_of_stale_values_give_the_same_bits(self, k):
+        # an inference workspace hands conv1d buffers an earlier layer wrote
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=(3, 4, 9))
+        kernels, bias = rng.normal(size=(5, 4, k)), rng.normal(size=5)
+        out = np.full((3, 9, 5), np.nan).transpose(0, 2, 1)
+        col = np.full(3 * 9 * 4 * k, np.nan)
+        got = ops.conv1d(x, kernels, bias, out=out, col=col)
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == ops.conv1d(x, kernels, bias).tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty((3, 5, 9)),
+                                     np.empty((3, 9, 6))[..., :5].transpose(0, 2, 1)],
+                             ids=["channels-first", "channel-slice"])
+    def test_output_buffer_it_cannot_write_through_rejected(self, out):
+        # a reshape of either would copy, and the result would miss `out`
+        x, kernels = np.zeros((3, 4, 9)), np.zeros((5, 4, 3))
+        with pytest.raises(ShapeError, match="cannot hold"):
+            ops.conv1d(x, kernels, np.zeros(5), out=out)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 3, 9))
@@ -314,32 +335,51 @@ def test_default_pool_cases_match_model_forward(monkeypatch):
                     for _, kernel, stride, padding, shape in _default_pool_cases()]
 
 
-# (id, training, batch): model_forward as a training step and as inference
-LAYOUT_CASES = [("training-64", True, 64),
-                ("inference", False, network.INFERENCE_BATCH)]
+# (id, training, batch, chunks): model_forward as a training step, as a
+# one-chunk inference pass, and as a pass of two chunks through a workspace
+LAYOUT_CASES = [("training-64", True, 64, 1),
+                ("inference", False, network.INFERENCE_BATCH, 1),
+                ("inference-2-chunks", False, 2 * network.INFERENCE_BATCH, 2)]
 ACTIVATION_OPS = ("conv1d", "relu", "pool1d", "concat_channels")
 
 
-@pytest.mark.parametrize("training, batch", [c[1:] for c in LAYOUT_CASES],
+@pytest.mark.parametrize("training, batch, chunks", [c[1:] for c in LAYOUT_CASES],
                          ids=[c[0] for c in LAYOUT_CASES])
-def test_every_activation_is_channels_last(monkeypatch, training, batch):
+def test_every_activation_is_channels_last(monkeypatch, training, batch, chunks):
     spec = ModelSpec()
     made = []
     for name in ACTIVATION_OPS:
         def spy(*args, _op=getattr(ops, name), _name=name, **kwargs):
             out = _op(*args, **kwargs)
-            made.append((_name, out[0] if _name == "pool1d" else out))
+            # a ReLU told to write outside its input's memory writes a
+            # branch's channels of a stage buffer
+            into = kwargs.get("out")
+            sliced = (_name == "relu" and into is not None
+                      and not np.may_share_memory(into, args[0]))
+            made.append((_name, out[0] if _name == "pool1d" else out, sliced))
             return out
         monkeypatch.setattr(ops, name, spy)
     batch = np.zeros((batch, spec.in_channels, spec.window), dtype=np.float32)
     network.model_forward(spec, network.init_params(spec, 0), batch, training=training,
                           rng=np.random.default_rng(0))
-    series = [(name, a) for name, a in made if a.ndim == 3]
-    # the stem's conv and ReLU, then per stage six conv and ReLU pairs,
-    # the branch pool, the concat and the stage pool
-    assert len(series) == 2 + 15 * len(spec.stages)
-    for name, a in series:
-        assert a.transpose(0, 2, 1).flags.c_contiguous, (name, a.shape, a.strides)
+    series = [entry for entry in made if entry[1].ndim == 3]
+    # per chunk, the stem's conv and ReLU, then per stage six conv and
+    # ReLU pairs, the branch pool, the concat and the stage pool; a
+    # workspace pass writes the four branch ReLUs into their channels of
+    # one stage buffer instead of concatenating them
+    workspace = chunks > 1
+    per_stage = 14 if workspace else 15
+    assert len(series) == chunks * (2 + per_stage * len(spec.stages))
+    assert sum(sliced for *_, sliced in series) == workspace * chunks * 4 * len(spec.stages)
+    width = spec.stages[0].out_channels
+    for name, a, sliced in series:
+        if sliced:
+            # a channel slice of a C-contiguous (B, L, width) buffer
+            b, c, length = a.strides
+            assert (b, c, length) == (a.shape[2] * width * c, a.itemsize, width * c), \
+                (name, a.shape, a.strides)
+        else:
+            assert a.transpose(0, 2, 1).flags.c_contiguous, (name, a.shape, a.strides)
 
 
 class TestPool1d:
