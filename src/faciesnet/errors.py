@@ -6,7 +6,15 @@ class ShapeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite values reached an operation boundary."""
+    """Non-finite values reached an operation boundary.
+
+    `windows`, when set, is the range of batch rows of the inference
+    chunk that raised.
+    """
+
+    def __init__(self, message: str = "", windows: range = None):
+        super().__init__(message)
+        self.windows = windows
 
 
 class DataFormatError(ValueError):

@@ -198,31 +198,61 @@ def confidence_band(confidence: float) -> str:
     return "low"
 
 
-def predict_with_confidence(model: Checkpoint, well: Well) -> PredictionSeries:
-    """One prediction per depth sample: one model_forward pass over the
-    well's window_matrix view, one centered window per sample, then a
-    float64 softmax.
+def predict_wells(model: Checkpoint, wells: list, threads: int = 1) -> list:
+    """One PredictionSeries per well, with one prediction per depth
+    sample: one model_forward pass over the wells' window_matrix views,
+    one centered window per sample, in well order, whose chunks
+    `threads` workers share; then, per well, a float64 softmax.
 
     Confidence is the winning softmax probability, annotated with the
     high (>= 0.7) / medium / low (< 0.5) band. A forward pass that
     overflows float range, or makes a NaN from an infinity, raises
-    NumericError naming the well, as non-finite logits do. A
-    standardized log value float32 cannot hold raises DataFormatError
-    naming the well, the channel and the depth.
+    NumericError naming the well, as non-finite logits do: the wells
+    of the chunk that raised are run again one at a time, and the first
+    that raises is named. A standardized log value float32 cannot hold
+    raises DataFormatError naming the well, the channel and the depth.
     """
-    windows = window_matrix(apply_standardizer(model.standardizer, well),
-                            model.spec.window)
+    windows = [window_matrix(apply_standardizer(model.standardizer, well), model.spec.window)
+               for well in wells]
     try:
-        logits, _ = model_forward(model.spec, model.params, windows)
-        probs = ops.softmax(logits.astype(np.float64))
+        logits, _ = model_forward(model.spec, model.params, windows, threads=threads)
     except NumericError as exc:
-        raise NumericError(f"well {well.name}: {exc}") from exc
-    facies = probs.argmax(axis=1).astype(np.int64) + 1
-    confidence = probs.max(axis=1)
-    bands = [confidence_band(c) for c in confidence]
-    labels = None if well.labels is None else well.labels.copy()
-    return PredictionSeries(well.name, well.depth.copy(), facies, probs,
-                            confidence, bands, true_labels=labels)
+        raise _name_well(model, wells, windows, exc) from exc
+    series, start = [], 0
+    for well, x in zip(wells, windows):
+        try:
+            probs = ops.softmax(logits[start:start + len(x)].astype(np.float64))
+        except NumericError as exc:
+            raise NumericError(f"well {well.name}: {exc}") from exc
+        start += len(x)
+        confidence = probs.max(axis=1)
+        labels = None if well.labels is None else well.labels.copy()
+        series.append(PredictionSeries(
+            well.name, well.depth.copy(), probs.argmax(axis=1).astype(np.int64) + 1,
+            probs, confidence, [confidence_band(c) for c in confidence],
+            true_labels=labels))
+    return series
+
+
+def _name_well(model: Checkpoint, wells: list, windows: list,
+               exc: NumericError) -> NumericError:
+    """exc, naming the first well of its chunk that raises on its own,
+    or else every well of the chunk."""
+    chunk, start = [], 0
+    for well, x in zip(wells, windows):
+        if start < exc.windows.stop and start + len(x) > exc.windows.start:
+            try:
+                model_forward(model.spec, model.params, x)
+            except NumericError as alone:
+                return NumericError(f"well {well.name}: {alone}")
+            chunk.append(well.name)
+        start += len(x)
+    return NumericError(f"wells {', '.join(chunk)}: {exc}")
+
+
+def predict_with_confidence(model: Checkpoint, well: Well) -> PredictionSeries:
+    """predict_wells for one well."""
+    return predict_wells(model, [well])[0]
 
 
 # ---------------------------------------------------------------------------

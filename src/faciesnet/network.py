@@ -10,6 +10,8 @@ code owns and mutates its own dict.
 import functools
 import itertools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from typing import Optional
 
@@ -24,7 +26,7 @@ CHECKPOINT_MAGIC = "#fnet v1"
 POOL_KERNEL = 2   # between-stage downsampling drops every other sample
 POOL_STRIDE = 2
 BRANCH_POOL_KERNEL = 3  # inside the inception pool branch: stride 1, same padding
-INFERENCE_BATCH = 256  # windows per chunk of an inference-mode forward pass
+INFERENCE_BATCH = 128  # windows per chunk of an inference-mode forward pass
 MAX_WINDOW = 1001  # samples in a window, about 500 ft of log at the contest's half foot
 MAX_STAGES = 32  # a window must exceed 2^(stages - 1) samples
 # float32 params, gradients and momentum stay near 120 MB
@@ -34,6 +36,9 @@ MAX_PARAMS = 10_000_000
 # training batch of 64 keeps its activations near 128 MB, twice that with
 # its caches
 MAX_ACTIVATIONS = 2 ** 19
+# workers of one inference pass, each with its own workspace of
+# INFERENCE_BATCH windows: about 268 MB at MAX_ACTIVATIONS
+MAX_THREADS = 64
 # the keys that size a conv layer's kernels (c_out, c_in, k), by layer id; an
 # fc or out layer is sized by fc_sizes
 _SIZE_KEYS = {"stem": ("stem_channels", "stem_kernel"), "b1": ("branch_1x1", None),
@@ -385,62 +390,127 @@ def inception_backward(params: dict, cache: tuple, grad: np.ndarray,
     return d_x
 
 
-def model_forward(spec: ModelSpec, params: dict, batch: np.ndarray,
+def model_forward(spec: ModelSpec, params: dict, batch,
                   training: bool = False,
                   rng: Optional[np.random.Generator] = None,
+                  threads: int = 1,
                   ) -> tuple[np.ndarray, Optional[dict]]:
     """Full forward pass on a (B, C, W) batch, which may be a view such as
-    welldata.window_matrix's; returns (logits, caches).
+    welldata.window_matrix's, or on a list of such batches run as their
+    concatenation (one window_matrix view per well); returns (logits,
+    caches), one row per window in batch order.
 
     Only training mode records what model_backward needs: dropout fires,
     drawing its masks from `rng`, the pools record their argmax, and
     every layer's cache is returned. Outside training the caches are
-    None, and a batch of more than INFERENCE_BATCH windows runs
-    INFERENCE_BATCH at a time through one workspace allocated for the
-    pass: each layer writes its output into one of a few buffers, which
-    every layer and chunk reuse, so a chunk allocates nothing. A batch
-    of one chunk makes its arrays fresh, as training does: glibc trims
-    a workspace freed at the end of a pass from its heap top, and the
-    next pass faults it back (277 faults per 60-window pass, which then
-    took 720 us instead of 505), while fresh arrays, freed one at a
+    None, and a pass of more than INFERENCE_BATCH windows runs
+    INFERENCE_BATCH at a time, a chunk spanning batches where one ends
+    inside it. `threads` workers share the chunks, each through one
+    workspace of its own allocated for the pass: each layer writes its
+    output into one of a few buffers, which every layer and chunk reuse,
+    so a chunk allocates nothing. The chunks never depend on `threads`,
+    so neither do the logits. A pass of one chunk makes its arrays
+    fresh, as training does: glibc trims a workspace freed at the end
+    of a pass from its heap top, and the next pass faults it back (a
+    60-window pass through a workspace made 277 faults and took 720 us
+    instead of 505 on a 2-vCPU VM), while fresh arrays, freed one at a
     time, leave no such block. Inference gives the bits of a
     training-mode pass of each chunk at dropout 0. A pass that overflows
     float range, or makes a NaN from an infinity, raises NumericError:
     numpy's floating-point warnings are raised here rather than printed.
+    Outside training its `windows` is the range of rows of the first
+    chunk that raised.
     """
-    x = np.asarray(batch)
-    if x.ndim != 3:
-        raise ShapeError(f"batch must be (B, C, W), got rank {x.ndim}")
-    if x.shape[1] != spec.in_channels or x.shape[2] != spec.window:
-        raise ShapeError(f"batch shape {x.shape[1:]} does not match model input "
-                         f"({spec.in_channels}, {spec.window})")
+    batches = [np.asarray(x) for x in (batch if isinstance(batch, list) else [batch])]
+    for x in batches:
+        if x.ndim != 3:
+            raise ShapeError(f"batch must be (B, C, W), got rank {x.ndim}")
+        if x.shape[1] != spec.in_channels or x.shape[2] != spec.window:
+            raise ShapeError(f"batch shape {x.shape[1:]} does not match model input "
+                             f"({spec.in_channels}, {spec.window})")
     if training and spec.dropout > 0 and rng is None:
         raise ConfigError("training-mode forward with dropout needs an rng")
 
+    n = sum(len(x) for x in batches)
+    if not training and n > INFERENCE_BATCH:
+        return _infer(spec, params, batches, n, threads), None
+    x = batches[0] if len(batches) == 1 else np.concatenate(batches)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if training or len(x) <= INFERENCE_BATCH:
-                return _forward(spec, params, x, training, rng)
-            dtype = np.result_type(x, *params.values())
-            logits = np.empty((len(x), N_FACIES), dtype=dtype)
-            ws = _Workspace(spec, INFERENCE_BATCH, dtype)
-            for i in range(0, len(x), INFERENCE_BATCH):
-                ws.chunk(logits[i:i + INFERENCE_BATCH])
-                _forward(spec, params, x[i:i + INFERENCE_BATCH], False, None, ws)
-            return logits, None
+            return _forward(spec, params, x, training, rng)
     except FloatingPointError as exc:
-        raise NumericError(str(exc)) from exc
+        raise NumericError(str(exc), windows=None if training else range(n)) from exc
+
+
+def _chunks(batches: list, size: int):
+    """The windows of the concatenated batches, `size` at a time: each
+    chunk is the list of the batch slices it is made of."""
+    chunk, room = [], size
+    for x in batches:
+        start = 0
+        while start < len(x):
+            part = x[start:start + room]
+            chunk.append(part)
+            start, room = start + len(part), room - len(part)
+            if not room:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk
+
+
+def _infer(spec, params, batches, n, threads):
+    """model_forward's logits for a pass of more than one chunk. Workers
+    take the chunks in order; once a chunk raises, none takes another,
+    so every chunk before the first that raised has run, whatever the
+    number of workers, and the fault raised is that chunk's."""
+    dtype = np.result_type(*batches, *params.values())
+    logits = np.empty((n, N_FACIES), dtype=dtype)
+    todo = enumerate(_chunks(batches, INFERENCE_BATCH))
+    taking, faults = threading.Lock(), {}
+
+    def work():
+        ws = _Workspace(spec, INFERENCE_BATCH, dtype)
+        # numpy's error state is per thread: each worker sets its own
+        with np.errstate(over="raise", invalid="raise"):
+            while not faults:
+                with taking:
+                    i, chunk = next(todo, (None, None))
+                if chunk is None:
+                    return
+                start = i * INFERENCE_BATCH
+                ws.chunk(logits[start:start + INFERENCE_BATCH])
+                try:
+                    _forward(spec, params, chunk, False, None, ws)
+                except FloatingPointError as exc:
+                    faults[i] = exc
+
+    workers = min(threads, math.ceil(n / INFERENCE_BATCH))
+    if workers == 1:
+        work()
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(work) for _ in range(workers)]:
+                done.result()
+    if faults:
+        i = min(faults)
+        start = i * INFERENCE_BATCH
+        raise NumericError(str(faults[i]),
+                           windows=range(start, min(start + INFERENCE_BATCH, n))
+                           ) from faults[i]
+    return logits
 
 
 def _forward(spec, params, x, training, rng, ws=None):
     """model_forward's layers, run on one checked batch. Without a
-    workspace every layer makes fresh arrays. With one, the batch is
-    copied into it, channels last like every activation, each layer
+    workspace every layer makes fresh arrays. With one, x is the list
+    of batch slices that make up a chunk: they are copied into it one
+    after another, channels last like every activation, each layer
     writes its output there, and the logits go to its rows."""
     caches = {"stem": None, "stages": [], "head": []}
     if ws is not None:
-        inputs, x = x, ws.series("trunk", *x.shape[1:])
-        x[...] = inputs
+        pieces, x = x, ws.series("trunk", spec.in_channels, spec.window)
+        np.concatenate(pieces, out=x)
     if spec.stem_kernel:
         x, caches["stem"] = _conv_relu(params, "stem", x, training, ws, "trunk")
     for i, stage in enumerate(spec.stages):

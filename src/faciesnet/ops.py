@@ -344,12 +344,15 @@ def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted exponentials normalized along the last axis."""
+    """Max-shifted exponentials normalized along the last axis, computed
+    in place in the one new array the shift makes."""
     z = np.asarray(logits)
     if not np.all(np.isfinite(z)):
         raise NumericError("non-finite logits in softmax")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:

@@ -14,7 +14,8 @@ import pytest
 from faciesnet import cli, ops
 from faciesnet.cli import CASTS, SECTIONS, load_config, main
 from faciesnet.errors import ConfigError
-from faciesnet.network import Checkpoint, InceptionSpec, ModelSpec
+from faciesnet.evaluation import predict_wells
+from faciesnet.network import MAX_THREADS, Checkpoint, InceptionSpec, ModelSpec
 from faciesnet.synth import SynthConfig, generate_wells
 from faciesnet.training import TrainConfig
 from faciesnet.welldata import PE, default_adjacency, parse_csv, write_csv
@@ -295,14 +296,15 @@ class TestPredictCommand:
                (b_dir / "predictions.csv").read_bytes()
 
     def test_threads_do_not_change_output(self, tmp_path, data_csv, small_cfg):
+        # 360 windows: three chunks, the first two spanning wells
         _, out_dir = run_train(tmp_path, data_csv, small_cfg)
-        a_dir, b_dir = tmp_path / "t1", tmp_path / "t4"
-        main(["predict", str(out_dir / "model.fnet"), str(data_csv),
-              "--out", str(a_dir), "--threads", "1"])
-        main(["predict", str(out_dir / "model.fnet"), str(data_csv),
-              "--out", str(b_dir), "--threads", "4"])
-        assert (a_dir / "predictions.csv").read_bytes() == \
-               (b_dir / "predictions.csv").read_bytes()
+        written = []
+        for threads in ("1", "2", "4"):
+            pred_dir = tmp_path / f"t{threads}"
+            assert main(["predict", str(out_dir / "model.fnet"), str(data_csv),
+                         "--out", str(pred_dir), "--threads", threads]) == 0
+            written.append((pred_dir / "predictions.csv").read_bytes())
+        assert written[0] == written[1] == written[2]
 
     def test_blind_wells_select_subset(self, tmp_path, data_csv, small_cfg):
         _, out_dir = run_train(tmp_path, data_csv, small_cfg,
@@ -316,21 +318,16 @@ class TestPredictCommand:
         assert len(rows) == 1 + 120
         assert {row[0] for row in rows[1:]} == {"SYNTH032"}
 
-    def test_predictions_csv_bytes_match_csv_writer(self, tmp_path, data_csv, small_cfg,
-                                                   monkeypatch):
+    def test_predictions_csv_bytes_match_csv_writer(self, tmp_path, small_cfg):
         # well names csv must quote, or must leave alone; the rows are f-strings
-        _, out_dir = run_train(tmp_path, data_csv, small_cfg)
-        names = iter(["A,B", 'say "hi"', " lead"])
-        predict = cli.predict_with_confidence
-        series = []
-
-        def renamed(model, well):
-            series.append(dataclasses.replace(predict(model, well), well_name=next(names)))
-            return series[-1]
-
-        monkeypatch.setattr(cli, "predict_with_confidence", renamed)
-        assert main(["predict", str(out_dir / "model.fnet"), str(data_csv),
+        names = ["A,B", 'say "hi"', "plain"]
+        data = tmp_path / "named.csv"
+        write_csv([dataclasses.replace(w, name=name) for w, name in
+                   zip(generate_wells(SynthConfig(n_samples=120, seed=30), 3), names)], data)
+        _, out_dir = run_train(tmp_path, data, small_cfg)
+        assert main(["predict", str(out_dir / "model.fnet"), str(data),
                      "--out", str(tmp_path / "pred")]) == 0
+        series = predict_wells(Checkpoint.load(out_dir / "model.fnet"), parse_csv(data))
 
         with open(tmp_path / "reference.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -342,7 +339,7 @@ class TestPredictCommand:
                         s.confidence.tolist(), s.bands):
                     writer.writerow([s.well_name, repr(depth), facies]
                                     + [repr(p) for p in probs] + [repr(confidence), band])
-        assert len(series) == 3
+        assert [s.well_name for s in series] == names
         assert ((tmp_path / "pred" / "predictions.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
 
@@ -391,6 +388,18 @@ class TestEvaluateCommand:
         with open(eval_dir / "metrics.json") as fh:
             metrics = json.load(fh)
         assert metrics["adjacent_accuracy"] >= metrics["accuracy"]
+
+    def test_threads_do_not_change_outputs(self, tmp_path, data_csv, small_cfg):
+        _, out_dir = run_train(tmp_path, data_csv, small_cfg)
+        written = []
+        for threads in ("1", "2", "4"):
+            eval_dir = tmp_path / f"t{threads}"
+            assert main(["evaluate", str(out_dir / "model.fnet"), str(data_csv),
+                         "--out", str(eval_dir), "--threads", threads]) == 0
+            written.append({name: (eval_dir / name).read_bytes()
+                            for name in ("facies_column.csv", "confusion.csv",
+                                         "facies_counts.csv", "metrics.json")})
+        assert written[0] == written[1] == written[2]
 
     def test_unlabeled_well_exit_4(self, tmp_path, data_csv, small_cfg):
         _, out_dir = run_train(tmp_path, data_csv, small_cfg)
@@ -685,6 +694,9 @@ HOSTILE = [(name, EVALUATE, target, how, code, ("{bad}",))
      ("numeric failure", "SYNTH040")),
     ("ckpt-overflows-evaluate", EVALUATE, "checkpoint", _scale_params(1e18), 3,
      ("numeric failure", "SYNTH040")),
+    # each worker holds a workspace; the cap is checked before any file is read
+    ("threads-above-cap", PREDICT + ("--threads", str(MAX_THREADS + 1)), None, None, 2,
+     (f"--threads must be <= {MAX_THREADS}",)),
     ("validation-well-unknown", TRAIN, "config",
      _set_key("training", "validation_wells", "NOPE"), 2,
      ("configuration error: validation_wells not in data: ['NOPE']",)),

@@ -19,10 +19,10 @@ import pytest
 
 import faciesnet
 from faciesnet import evaluation, network
-from faciesnet.errors import DataFormatError, ShapeError
+from faciesnet.errors import DataFormatError, NumericError, ShapeError
 from faciesnet.evaluation import (ConfusionMatrix, accuracy, adjacent_accuracy,
                                   confidence_band, confusion, evaluate,
-                                  export_plot_data, precision_recall_f1,
+                                  export_plot_data, precision_recall_f1, predict_wells,
                                   predict_with_confidence, write_metrics_json)
 from faciesnet.network import (INFERENCE_BATCH, Checkpoint, ModelSpec, InceptionSpec,
                                init_params, model_forward)
@@ -333,6 +333,26 @@ class TestPredictWithConfidence:
                                       os.environ.get("PYTHONPATH", "")])})
         assert run.returncode == 0, run.stderr
         assert int(run.stdout) < 8000
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflow_in_a_shared_chunk_names_its_well(self, threads):
+        # the first chunk holds A, B and the head of C; only B's logs,
+        # within float32 but near its top, overflow the stem conv
+        model = tiny_checkpoint()
+        wells = [labeled_well(60, seed=i, name=name) for i, name in enumerate("ABC")]
+        wells[1].channels[:] = 3e38
+        with pytest.raises(NumericError, match="well B: overflow"):
+            predict_wells(model, wells, threads=threads)
+
+    def test_one_pass_gives_each_well_its_own_rows(self):
+        model = tiny_checkpoint()
+        wells = [labeled_well(n, seed=n, name=f"W{n}") for n in (30, INFERENCE_BATCH + 9, 5)]
+        series = predict_wells(model, wells, threads=2)
+        for s, well in zip(series, wells):
+            alone = predict_with_confidence(model, well)
+            assert s.well_name == well.name and len(s) == len(well.depth)
+            assert np.array_equal(s.facies, alone.facies)
+            np.testing.assert_allclose(s.probs, alone.probs, rtol=1e-4, atol=1e-7)
 
     @pytest.mark.parametrize("std", [1e-300, 1e-310], ids=["past-float32", "past-float64"])
     def test_standardized_value_outside_float32_names_well_channel_depth(self, std):

@@ -9,7 +9,7 @@ import pytest
 
 from faciesnet import network, ops
 from faciesnet.errors import ConfigError, DataFormatError, NumericError, ShapeError
-from faciesnet.network import (MAX_PARAMS, MAX_STAGES, MAX_WINDOW, Checkpoint,
+from faciesnet.network import (INFERENCE_BATCH, MAX_PARAMS, MAX_STAGES, MAX_WINDOW, Checkpoint,
                                InceptionSpec, ModelSpec, inception_forward, init_params,
                                load_checkpoint, model_backward, model_forward,
                                param_shapes, pooled_length)
@@ -288,7 +288,8 @@ class TestModelForward:
         ModelSpec(stem_kernel=0, dropout=0.0),
         ModelSpec(window=61, stages=(InceptionSpec(),) * 3, dropout=0.0),
     ], ids=["default", "no-stem", "3-stages-w61"])
-    @pytest.mark.parametrize("n", [1, 4, 9, 60, 255, 256, 257, 600])
+    @pytest.mark.parametrize("n", [1, 4, 9, 60, INFERENCE_BATCH - 1, INFERENCE_BATCH,
+                                   INFERENCE_BATCH + 1, 600])
     def test_inference_logits_equal_training_logits_at_dropout_0(self, n, spec, dtype):
         params = init_params(spec, seed=6, dtype=dtype)
         x = np.random.default_rng(n).standard_normal((n, 7, spec.window)).astype(dtype)
@@ -299,6 +300,38 @@ class TestModelForward:
         assert caches is None
         assert inferred.dtype == dtype
         assert inferred.tobytes() == trained.tobytes()
+
+    # a pass over several wells cuts its chunks from their concatenation,
+    # so a chunk may span wells; workers share the chunks, which never
+    # depend on their number
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_multi_well_logits_equal_training_logits_of_each_chunk(self, threads):
+        spec = ModelSpec(dropout=0.0)
+        params = init_params(spec, seed=9)
+        rng = np.random.default_rng(9)
+        lengths = [60, INFERENCE_BATCH + 5, 1, 2 * INFERENCE_BATCH - 61, 40]
+        views = [window_matrix(Well(f"W{i}", np.arange(n, dtype=float),
+                                    rng.standard_normal((len(CHANNELS), n))), spec.window)
+                 for i, n in enumerate(lengths)]
+        x = np.concatenate(views)
+        trained = np.concatenate([
+            model_forward(spec, params, x[i:i + INFERENCE_BATCH], training=True)[0]
+            for i in range(0, len(x), INFERENCE_BATCH)])
+        inferred, caches = model_forward(spec, params, views, threads=threads)
+        assert caches is None
+        assert inferred.tobytes() == trained.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_numeric_error_names_the_first_chunk_that_raises(self, threads):
+        # chunks 1 and 3 overflow; whichever worker meets a fault first,
+        # the pass reports chunk 1's rows
+        spec = tiny_spec()
+        params = init_params(spec, seed=8)
+        x = np.zeros((4 * INFERENCE_BATCH + 3, 7, 9), dtype=np.float32)
+        x[INFERENCE_BATCH + 7] = x[3 * INFERENCE_BATCH] = np.float32(3e38)
+        with pytest.raises(NumericError, match="overflow") as info:
+            model_forward(spec, params, x, threads=threads)
+        assert info.value.windows == range(INFERENCE_BATCH, 2 * INFERENCE_BATCH)
 
     def test_batch_rows_independent(self):
         spec = tiny_spec()

@@ -590,6 +590,17 @@ class TestActivations:
         assert np.all(s > 0)
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_in_place_gives_the_bits_of_fresh_arrays(self, dtype):
+        # one array made, the shifted logits, then exp and divide in place;
+        # softmax_xent reads its logits again after the softmax
+        z = (np.random.default_rng(9).normal(size=(300, 9)) * 20).astype(dtype)
+        kept = z.copy()
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        assert ops.softmax(z).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+        ops.softmax_xent(z, np.arange(300) % 9)
+        assert z.tobytes() == kept.tobytes()
+
     def test_softmax_rejects_nan(self):
         with pytest.raises(NumericError):
             ops.softmax(np.array([0.0, np.nan, 1.0]))

@@ -18,6 +18,9 @@ checkout this script lives in), in a temporary directory:
                use_class_weights = true, where gaps.csv holds GAPS_WELLS
                synth wells of GAPS_SAMPLES samples, PE blank on every
                GAPS_EVERY-th row
+  gaps predictions.csv
+               faciesnet predict gaps.fnet gaps.csv --allow-missing-pe:
+               one pass over three wells, whose chunks span wells
 
 and prints one `sha256  name` line each. Two checkouts that print the
 same lines write the same bytes on this machine. Each `.fnet` artefact
@@ -136,11 +139,14 @@ def artefacts(root: Path, work: Path) -> list:
     blank_pe(gaps)
     run("train", gaps, "--seed", 0, "--config", work / "gaps.cfg", "--allow-missing-pe",
         "--out", work / "gaps")
+    run("predict", work / "gaps" / "model.fnet", gaps, "--allow-missing-pe",
+        "--out", work / "gaps-predict")
     return ([("synth wells.csv", data), ("small.fnet", small),
              ("default.fnet", work / "default" / "model.fnet"), ("fixture.fnet", fixture),
              ("predictions.csv", work / "predict" / "predictions.csv")]
             + [(f"evaluate/{name}", work / "evaluate" / name) for name in EVALUATE_FILES]
-            + [("gaps.fnet", work / "gaps" / "model.fnet")])
+            + [("gaps.fnet", work / "gaps" / "model.fnet"),
+               ("gaps predictions.csv", work / "gaps-predict" / "predictions.csv")])
 
 
 def check_resave(made: list) -> None:
