@@ -141,8 +141,8 @@ class ModelSpec:
 
     @functools.cached_property
     def _activation_floats(self) -> tuple:
-        """(slot, floats per window, config key) of each array an
-        inference pass writes, in layer order: each layer's output and
+        """(slot, floats per window, config key) of each array a
+        forward pass writes, in layer order: each layer's output and
         each im2col matrix (a 1x1 conv reads its input as its matrix).
         The key is the size that sets the array's channels, or the kernel
         when it is the larger factor of an im2col matrix.
@@ -261,14 +261,35 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> dict:
 # ---------------------------------------------------------------------------
 # forward / backward
 
-class _Workspace:
-    """The buffers one inference pass writes its arrays into, sized for
-    `capacity` windows: one per slot of spec._activation_floats, sized for
-    the slot's largest array, except that the trunk has two, each sized
-    for the largest trunk array. Each trunk array is written while only
-    the one before it is read, so the k-th trunk array of a chunk lives
-    in trunk buffer k % 2. `n` windows and the `logits` rows they fill
-    are the current chunk's.
+class _Arrays:
+    """The arrays a pass of `n` windows writes its layers into: each
+    layer asks for its output, and a conv for its im2col matrix, by the
+    slot of spec._activation_floats it belongs to, and the logits go to
+    `logits`. These are fresh arrays, as a training pass needs: its
+    backward pass reads every array the forward cached."""
+
+    def __init__(self, n: int, dtype):
+        self.n, self.dtype = n, dtype
+        self.logits = np.empty((n, N_FACIES), dtype)
+
+    def rows(self, slot: str, *shape: int) -> np.ndarray:
+        """A C-contiguous (n, *shape) array for `slot`."""
+        return np.empty((self.n, *shape), self.dtype)
+
+    def series(self, slot: str, channels: int, length: int) -> np.ndarray:
+        """A (n, channels, length) array for `slot`, channels last in
+        memory like every activation."""
+        return self.rows(slot, length, channels).transpose(0, 2, 1)
+
+
+class _Workspace(_Arrays):
+    """The arrays of an inference pass, answered from buffers sized for
+    `capacity` windows that every layer and chunk reuse: one per slot of
+    spec._activation_floats, sized for the slot's largest array, except
+    that the trunk has two, each sized for the largest trunk array. Each
+    trunk array is written while only the one before it is read, so the
+    k-th trunk array of a chunk lives in trunk buffer k % 2. `n` windows
+    and the `logits` rows they fill are the current chunk's.
 
     Each buffer is its own allocation, no larger than the largest array
     a chunk of fresh arrays would make, so glibc's heap thresholds stay
@@ -295,26 +316,19 @@ class _Workspace:
             slot, self.turn = f"trunk{self.turn % 2}", self.turn + 1
         return self.buffers[slot][:self.n * math.prod(shape)].reshape(self.n, *shape)
 
-    def series(self, slot: str, channels: int, length: int) -> np.ndarray:
-        """A (n, channels, length) array at the head of a slot's buffer,
-        channels last in memory like every activation."""
-        return self.rows(slot, length, channels).transpose(0, 2, 1)
 
-
-def _conv_relu(params, name, x, training, ws=None, slot=None, out=None):
-    """Conv then ReLU; returns (output, cache) with cache = (x, pre-activation)
-    in training mode and None outside it. Given a workspace, the conv
-    writes into its `slot` and its im2col matrix into "col", and the
-    ReLU into `out`, or in place."""
+def _conv_relu(params, name, x, arrays, slot, training, out=None):
+    """Conv then ReLU; returns (output, cache) with cache = (x, conv
+    output) in training mode and None outside it. The conv writes into
+    an array of `slot`, its im2col matrix into one of "col", and the
+    ReLU into `out`, or in place: a cached ReLU output serves
+    relu_backward as the conv output would, since ReLU keeps the sign."""
     kernels = params[f"{name}.kernels"]
-    pre = col = None
-    if ws is not None:
-        c_out, c_in, k = kernels.shape
-        pre = ws.series(slot, c_out, x.shape[2])
-        col = ws.rows("col", c_in * k * x.shape[2]) if k > 1 else None
-        out = pre if out is None else out
-    pre = ops.conv1d(x, kernels, params[f"{name}.bias"], out=pre, col=col)
-    return ops.relu(pre, out=out), ((x, pre) if training else None)
+    c_out, c_in, k = kernels.shape
+    pre = ops.conv1d(x, kernels, params[f"{name}.bias"],
+                     out=arrays.series(slot, c_out, x.shape[2]),
+                     col=arrays.rows("col", c_in * k * x.shape[2]) if k > 1 else None)
+    return ops.relu(pre, out=pre if out is None else out), ((x, pre) if training else None)
 
 
 def _conv_relu_backward(params, name, cache, grad, grads):
@@ -337,38 +351,31 @@ def inception_forward(params: dict, x: np.ndarray, prefix: str = "s0",
     the `{prefix}.*` parameters. The branch caches are returned in
     training mode only; outside it the cache is None.
     """
-    return _inception(params, x, prefix, training)
+    x = np.asarray(x)
+    if x.ndim != 3:
+        raise ShapeError(f"inception_forward expects a (B, C, L) batch, got rank {x.ndim}")
+    arrays = _Arrays(len(x), np.result_type(x, *params.values()))
+    return _inception(params, x, prefix, arrays, training)
 
 
-def _inception(params, x, prefix, training, ws=None):
-    """inception_forward, writing into a workspace if given: then each
-    branch's ReLU writes its channels of one trunk buffer, which is the
-    output, so no concat is made."""
+def _inception(params, x, prefix, arrays, training):
+    """inception_forward through `arrays`: each branch's ReLU writes its
+    channels of one trunk array, which is the output, so no concat is
+    made."""
     names = [f"{prefix}.{branch}" for branch in ("b1", "b2", "b3", "b4")]
-    outs = [None] * 4
-    if ws is not None:
-        ends = list(itertools.accumulate(params[f"{name}.bias"].size for name in names))
-        out = ws.series("trunk", ends[-1], x.shape[2])
-        outs = [out[:, lo:hi] for lo, hi in zip([0] + ends, ends)]
-    # each reduction and the pooled input are dropped once read
-    b1, c1 = _conv_relu(params, names[0], x, training, ws, "branch", outs[0])
-    r2, c2r = _conv_relu(params, f"{prefix}.b2r", x, training, ws, "reduce")
-    b2, c2 = _conv_relu(params, names[1], r2, training, ws, "branch", outs[1])
-    del r2
-    r3, c3r = _conv_relu(params, f"{prefix}.b3r", x, training, ws, "reduce")
-    b3, c3 = _conv_relu(params, names[2], r3, training, ws, "branch", outs[2])
-    del r3
-    pooled, pool_cache = ops.pool1d(
-        x, BRANCH_POOL_KERNEL, 1, padding="same", training=training,
-        out=None if ws is None else ws.series("reduce", *x.shape[1:]))
-    b4, c4 = _conv_relu(params, names[3], pooled, training, ws, "branch", outs[3])
-    del pooled
-    if ws is not None:
-        return out, None
-    out = ops.concat_channels([b1, b2, b3, b4])
-    if not training:
-        return out, None
-    return out, (c1, c2r, c2, c3r, c3, pool_cache, c4)
+    ends = list(itertools.accumulate(params[f"{name}.bias"].size for name in names))
+    out = arrays.series("trunk", ends[-1], x.shape[2])
+    b1, b2, b3, b4 = (out[:, lo:hi] for lo, hi in zip([0] + ends, ends))
+    c1 = _conv_relu(params, names[0], x, arrays, "branch", training, b1)[1]
+    r2, c2r = _conv_relu(params, f"{prefix}.b2r", x, arrays, "reduce", training)
+    c2 = _conv_relu(params, names[1], r2, arrays, "branch", training, b2)[1]
+    r3, c3r = _conv_relu(params, f"{prefix}.b3r", x, arrays, "reduce", training)
+    c3 = _conv_relu(params, names[2], r3, arrays, "branch", training, b3)[1]
+    pooled, pool_cache = ops.pool1d(x, BRANCH_POOL_KERNEL, 1, padding="same",
+                                    training=training,
+                                    out=arrays.series("reduce", *x.shape[1:]))
+    c4 = _conv_relu(params, names[3], pooled, arrays, "branch", training, b4)[1]
+    return out, ((c1, c2r, c2, c3r, c3, pool_cache, c4) if training else None)
 
 
 def inception_backward(params: dict, cache: tuple, grad: np.ndarray,
@@ -402,24 +409,19 @@ def model_forward(spec: ModelSpec, params: dict, batch,
 
     Only training mode records what model_backward needs: dropout fires,
     drawing its masks from `rng`, the pools record their argmax, and
-    every layer's cache is returned. Outside training the caches are
-    None, and a pass of more than INFERENCE_BATCH windows runs
-    INFERENCE_BATCH at a time, a chunk spanning batches where one ends
-    inside it. `threads` workers share the chunks, each through one
-    workspace of its own allocated for the pass: each layer writes its
-    output into one of a few buffers, which every layer and chunk reuse,
-    so a chunk allocates nothing. The chunks never depend on `threads`,
-    so neither do the logits. A pass of one chunk makes its arrays
-    fresh, as training does: glibc trims a workspace freed at the end
-    of a pass from its heap top, and the next pass faults it back (a
-    60-window pass through a workspace made 277 faults and took 720 us
-    instead of 505 on a 2-vCPU VM), while fresh arrays, freed one at a
-    time, leave no such block. Inference gives the bits of a
-    training-mode pass of each chunk at dropout 0. A pass that overflows
-    float range, or makes a NaN from an infinity, raises NumericError:
-    numpy's floating-point warnings are raised here rather than printed.
-    Outside training its `windows` is the range of rows of the first
-    chunk that raised.
+    every layer's cache is returned; each layer writes a fresh array.
+    Outside training the caches are None, and the pass runs
+    INFERENCE_BATCH windows at a time, a chunk spanning batches where
+    one ends inside it. `threads` workers share the chunks, each through
+    one workspace of its own allocated for the pass: each layer writes
+    its output into one of a few buffers, which every layer and chunk
+    reuse, so a chunk allocates nothing. The chunks never depend on
+    `threads`, so neither do the logits. Inference gives the bits of a
+    training-mode pass of each chunk at dropout 0. A pass that
+    overflows float range, or makes a NaN from an infinity, raises
+    NumericError: numpy's floating-point warnings are raised here rather
+    than printed. Outside training its `windows` is the range of rows of
+    the first chunk that raised.
     """
     batches = [np.asarray(x) for x in (batch if isinstance(batch, list) else [batch])]
     for x in batches:
@@ -432,14 +434,14 @@ def model_forward(spec: ModelSpec, params: dict, batch,
         raise ConfigError("training-mode forward with dropout needs an rng")
 
     n = sum(len(x) for x in batches)
-    if not training and n > INFERENCE_BATCH:
-        return _infer(spec, params, batches, n, threads), None
-    x = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    dtype = np.result_type(*batches, *params.values())
+    if not training:
+        return _infer(spec, params, batches, n, dtype, threads), None
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _forward(spec, params, x, training, rng)
+            return _forward(spec, params, batches, _Arrays(n, dtype), True, rng)
     except FloatingPointError as exc:
-        raise NumericError(str(exc), windows=None if training else range(n)) from exc
+        raise NumericError(str(exc)) from exc
 
 
 def _chunks(batches: list, size: int):
@@ -459,18 +461,18 @@ def _chunks(batches: list, size: int):
         yield chunk
 
 
-def _infer(spec, params, batches, n, threads):
-    """model_forward's logits for a pass of more than one chunk. Workers
-    take the chunks in order; once a chunk raises, none takes another,
-    so every chunk before the first that raised has run, whatever the
-    number of workers, and the fault raised is that chunk's."""
-    dtype = np.result_type(*batches, *params.values())
+def _infer(spec, params, batches, n, dtype, threads):
+    """model_forward's logits outside training. Workers take the chunks
+    in order; once a chunk raises, none takes another, so every chunk
+    before the first that raised has run, whatever the number of
+    workers, and the fault raised is that chunk's. A pass of no windows
+    starts no worker."""
     logits = np.empty((n, N_FACIES), dtype=dtype)
     todo = enumerate(_chunks(batches, INFERENCE_BATCH))
     taking, faults = threading.Lock(), {}
 
     def work():
-        ws = _Workspace(spec, INFERENCE_BATCH, dtype)
+        ws = _Workspace(spec, min(n, INFERENCE_BATCH), dtype)
         # numpy's error state is per thread: each worker sets its own
         with np.errstate(over="raise", invalid="raise"):
             while not faults:
@@ -481,17 +483,17 @@ def _infer(spec, params, batches, n, threads):
                 start = i * INFERENCE_BATCH
                 ws.chunk(logits[start:start + INFERENCE_BATCH])
                 try:
-                    _forward(spec, params, chunk, False, None, ws)
+                    _forward(spec, params, chunk, ws)
                 except FloatingPointError as exc:
                     faults[i] = exc
 
     workers = min(threads, math.ceil(n / INFERENCE_BATCH))
-    if workers == 1:
-        work()
-    else:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for done in [pool.submit(work) for _ in range(workers)]:
                 done.result()
+    elif workers:
+        work()
     if faults:
         i = min(faults)
         start = i * INFERENCE_BATCH
@@ -501,48 +503,38 @@ def _infer(spec, params, batches, n, threads):
     return logits
 
 
-def _forward(spec, params, x, training, rng, ws=None):
-    """model_forward's layers, run on one checked batch. Without a
-    workspace every layer makes fresh arrays. With one, x is the list
-    of batch slices that make up a chunk: they are copied into it one
-    after another, channels last like every activation, each layer
-    writes its output there, and the logits go to its rows."""
+def _forward(spec, params, pieces, arrays, training=False, rng=None):
+    """model_forward's layers over the windows of `pieces`, a list of
+    checked batches, each layer writing its output into an array that
+    `arrays` hands out: the pieces are copied into the first one after
+    another, channels last like every activation, and the logits go to
+    arrays.logits. The fc ReLUs run in place, like the stem's."""
     caches = {"stem": None, "stages": [], "head": []}
-    if ws is not None:
-        pieces, x = x, ws.series("trunk", spec.in_channels, spec.window)
-        np.concatenate(pieces, out=x)
+    x = arrays.series("trunk", spec.in_channels, spec.window)
+    np.concatenate(pieces, out=x)
     if spec.stem_kernel:
-        x, caches["stem"] = _conv_relu(params, "stem", x, training, ws, "trunk")
+        x, caches["stem"] = _conv_relu(params, "stem", x, arrays, "trunk", training)
     for i, stage in enumerate(spec.stages):
-        x, inc_cache = _inception(params, x, f"s{i}", training, ws)
+        x, inc_cache = _inception(params, x, f"s{i}", arrays, training)
         x, pool_cache = ops.pool1d(
             x, POOL_KERNEL, POOL_STRIDE, training=training,
-            out=None if ws is None else ws.series(
-                "trunk", stage.out_channels, pooled_length(x.shape[2])))
-        if training:
-            caches["stages"].append((inc_cache, pool_cache))
+            out=arrays.series("trunk", stage.out_channels, pooled_length(x.shape[2])))
+        caches["stages"].append((inc_cache, pool_cache))
 
     caches["flat_shape"] = x.shape
-    if ws is None:
-        x = x.reshape(x.shape[0], -1)
-    else:
-        flat = ws.rows("trunk", x.shape[1] * x.shape[2])
-        flat.reshape(x.shape)[...] = x
-        x = flat
+    flat = arrays.rows("trunk", x.shape[1] * x.shape[2])
+    flat.reshape(x.shape)[...] = x
+    x = flat
     for j, size in enumerate(spec.fc_sizes):
-        out = None if ws is None else ws.rows("trunk", size)
-        pre = ops.dense(x, params[f"fc{j}.weights"], params[f"fc{j}.bias"], out=out)
-        act = ops.relu(pre, out=out)
-        dropped, mask = ops.dropout(act, spec.dropout, rng, training)
-        if training:
-            caches["head"].append((x, pre, mask))
+        pre = ops.dense(x, params[f"fc{j}.weights"], params[f"fc{j}.bias"],
+                        out=arrays.rows("trunk", size))
+        ops.relu(pre, out=pre)
+        dropped, mask = ops.dropout(pre, spec.dropout, rng, training)
+        caches["head"].append((x, pre, mask))
         x = dropped
-    logits = ops.dense(x, params["out.weights"], params["out.bias"],
-                       out=None if ws is None else ws.logits)
-    if not training:
-        return logits, None
     caches["out_in"] = x
-    return logits, caches
+    logits = ops.dense(x, params["out.weights"], params["out.bias"], out=arrays.logits)
+    return logits, (caches if training else None)
 
 
 def model_backward(spec: ModelSpec, params: dict, caches: Optional[dict],

@@ -8,18 +8,20 @@ other rank, and the dense head and the loss take (batch, features).
 
 Memory layout: the series ops store what they return channels last. A
 conv, pool or backward-pass result is the (0, 2, 1) transpose view of a
-C-contiguous (batch, length, channels) buffer, and ReLU and the channel
-concat keep their inputs' layout, so every activation of a model
-forward pass lies channels last. The next op then reads it as
+C-contiguous (batch, length, channels) buffer, ReLU keeps its input's
+layout, and the network writes each inception branch's ReLU into its
+channels of one such buffer, so every activation of a model forward
+pass lies channels last. The next op then reads it as
 (batch, length, channels) rows for free: a 1x1 conv's im2col matrix is a
 view, and a pool scans whole channel rows. The ops accept a C-order
-batch too (as the network's input is) and give the same bits on it,
-at the cost of one transposing copy.
+batch too and give the same bits on it, at the cost of one transposing
+copy.
 
 The ops that write activations (conv1d and its im2col matrix, pool1d,
 relu, dense) take an optional `out` buffer and write their result into
-it instead of a fresh array, with the same bits: an inference pass
-reuses a few buffers across all its layers and chunks. A series `out`
+it instead of a fresh array, with the same bits: the network hands
+each layer its output, a fresh array in training and, in inference, a
+few buffers reused across all layers and chunks. A series `out`
 is a channels-last (B, C, L) view; a pool's may be a channel slice of a
 wider one.
 
@@ -292,7 +294,7 @@ def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense, relu, softmax, concat, dropout
+# dense, relu, softmax, split, dropout
 
 def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
           out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -355,18 +357,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
-    """Stack tensors along the channel axis, in input order."""
-    if not inputs:
-        raise ShapeError("concat_channels needs at least one input")
-    lengths = {np.asarray(a).shape[-1] for a in inputs}
-    if len(lengths) != 1:
-        raise ShapeError(f"inputs disagree on length: {sorted(lengths)}")
-    return np.concatenate([np.asarray(a) for a in inputs], axis=-2)
-
-
 def split_channels(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Inverse of concat_channels for known per-block channel counts."""
+    """The channel blocks of x, of the given sizes in order, as views."""
     if sum(sizes) != x.shape[-2]:
         raise ShapeError(f"sizes sum to {sum(sizes)}, input has {x.shape[-2]} channels")
     return np.split(x, np.cumsum(sizes)[:-1], axis=-2)

@@ -369,6 +369,26 @@ class TestPredictCommand:
                                     wells[0])
         assert np.array_equal(a.probs, b.probs)
 
+    # the spec's edges, each on the default model: every checkpoint train
+    # writes with exit 0 loads and predicts
+    @pytest.mark.parametrize("model", [
+        "stem_kernel = 0",  # stage 0 reads the input copy
+        "fc_sizes =",  # the flattened features feed `out`
+        "stages = 1",
+        "stem_kernel = 0\nfc_sizes =\nstages = 1",
+    ], ids=["no-stem", "no-fc", "one-stage", "all-three"])
+    def test_edge_spec_trains_then_predicts(self, tmp_path, model):
+        cfg, data = tmp_path / "edge.cfg", tmp_path / "one-well.csv"
+        cfg.write_text(f"[model]\n{model}\n\n[training]\nepochs = 1\n\n"
+                       f"[synth]\nn_samples = 150\n")
+        assert main(["synth", str(data), "--config", str(cfg)]) == 0
+        assert main(["train", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["predict", str(tmp_path / "run" / "model.fnet"), str(data),
+                     "--config", str(cfg), "--out", str(tmp_path / "pred")]) == 0
+        with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 150
+
 
 class TestEvaluateCommand:
     def test_writes_reports_and_prints_metrics(self, tmp_path, data_csv,

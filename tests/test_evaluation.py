@@ -344,6 +344,10 @@ class TestPredictWithConfidence:
         with pytest.raises(NumericError, match="well B: overflow"):
             predict_wells(model, wells, threads=threads)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_wells_give_no_series(self, threads):
+        assert predict_wells(tiny_checkpoint(), [], threads=threads) == []
+
     def test_one_pass_gives_each_well_its_own_rows(self):
         model = tiny_checkpoint()
         wells = [labeled_well(n, seed=n, name=f"W{n}") for n in (30, INFERENCE_BATCH + 9, 5)]

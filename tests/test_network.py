@@ -13,7 +13,7 @@ from faciesnet.network import (INFERENCE_BATCH, MAX_PARAMS, MAX_STAGES, MAX_WIND
                                InceptionSpec, ModelSpec, inception_forward, init_params,
                                load_checkpoint, model_backward, model_forward,
                                param_shapes, pooled_length)
-from faciesnet.welldata import CHANNELS, Standardizer, Well, window_matrix
+from faciesnet.welldata import CHANNELS, N_FACIES, Standardizer, Well, window_matrix
 
 
 TINY_STAGE = InceptionSpec(2, 2, 3, 2, 2, 7, 2, 2)
@@ -332,6 +332,18 @@ class TestModelForward:
         with pytest.raises(NumericError, match="overflow") as info:
             model_forward(spec, params, x, threads=threads)
         assert info.value.windows == range(INFERENCE_BATCH, 2 * INFERENCE_BATCH)
+
+    # a pass of no windows once raised a bare ValueError: a reshape of size
+    # 0, or a concatenate of no batches
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("batch", [np.zeros((0, 7, 9), dtype=np.float32), []],
+                             ids=["empty-batch", "no-batches"])
+    def test_pass_of_no_windows_gives_no_logits(self, batch, threads):
+        spec = tiny_spec()
+        logits, caches = model_forward(spec, init_params(spec, seed=0), batch,
+                                       threads=threads)
+        assert logits.shape == (0, N_FACIES) and logits.dtype == np.float32
+        assert caches is None
 
     def test_batch_rows_independent(self):
         spec = tiny_spec()

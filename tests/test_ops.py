@@ -336,11 +336,12 @@ def test_default_pool_cases_match_model_forward(monkeypatch):
 
 
 # (id, training, batch, chunks): model_forward as a training step, as a
-# one-chunk inference pass, and as a pass of two chunks through a workspace
+# one-chunk inference pass and as a pass of two chunks; each runs the same
+# layers through its own allocator
 LAYOUT_CASES = [("training-64", True, 64, 1),
                 ("inference", False, network.INFERENCE_BATCH, 1),
                 ("inference-2-chunks", False, 2 * network.INFERENCE_BATCH, 2)]
-ACTIVATION_OPS = ("conv1d", "relu", "pool1d", "concat_channels")
+ACTIVATION_OPS = ("conv1d", "relu", "pool1d")
 
 
 @pytest.mark.parametrize("training, batch, chunks", [c[1:] for c in LAYOUT_CASES],
@@ -352,7 +353,7 @@ def test_every_activation_is_channels_last(monkeypatch, training, batch, chunks)
         def spy(*args, _op=getattr(ops, name), _name=name, **kwargs):
             out = _op(*args, **kwargs)
             # a ReLU told to write outside its input's memory writes a
-            # branch's channels of a stage buffer
+            # branch's channels of a stage array
             into = kwargs.get("out")
             sliced = (_name == "relu" and into is not None
                       and not np.may_share_memory(into, args[0]))
@@ -364,17 +365,14 @@ def test_every_activation_is_channels_last(monkeypatch, training, batch, chunks)
                           rng=np.random.default_rng(0))
     series = [entry for entry in made if entry[1].ndim == 3]
     # per chunk, the stem's conv and ReLU, then per stage six conv and
-    # ReLU pairs, the branch pool, the concat and the stage pool; a
-    # workspace pass writes the four branch ReLUs into their channels of
-    # one stage buffer instead of concatenating them
-    workspace = chunks > 1
-    per_stage = 14 if workspace else 15
-    assert len(series) == chunks * (2 + per_stage * len(spec.stages))
-    assert sum(sliced for *_, sliced in series) == workspace * chunks * 4 * len(spec.stages)
+    # ReLU pairs, the branch pool and the stage pool: the four branch
+    # ReLUs write their channels of one stage array, so no concat is made
+    assert len(series) == chunks * (2 + 14 * len(spec.stages))
+    assert sum(sliced for *_, sliced in series) == chunks * 4 * len(spec.stages)
     width = spec.stages[0].out_channels
     for name, a, sliced in series:
         if sliced:
-            # a channel slice of a C-contiguous (B, L, width) buffer
+            # a channel slice of a C-contiguous (B, L, width) array
             b, c, length = a.strides
             assert (b, c, length) == (a.shape[2] * width * c, a.itemsize, width * c), \
                 (name, a.shape, a.strides)
@@ -516,7 +514,7 @@ class TestDense:
 
 
 # ---------------------------------------------------------------------------
-# relu / softmax / concat
+# relu / softmax / split
 
 class TestActivations:
     def test_relu_values(self):
@@ -605,26 +603,10 @@ class TestActivations:
         with pytest.raises(NumericError):
             ops.softmax(np.array([0.0, np.nan, 1.0]))
 
-    def test_concat_single_input_identity(self):
-        x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(ops.concat_channels([x]), x)
-
-    def test_concat_two_inputs(self):
-        out = ops.concat_channels([np.array([[1.0, 2]]), np.array([[3.0, 4]])])
-        np.testing.assert_array_equal(out, [[1, 2], [3, 4]])
-
-    def test_concat_channel_count(self):
-        parts = [np.zeros((c, 5)) for c in (2, 3, 4)]
-        assert ops.concat_channels(parts).shape == (9, 5)
-
-    def test_concat_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            ops.concat_channels([np.zeros((1, 4)), np.zeros((1, 5))])
-
     def test_concat_then_split_recovers(self):
         rng = np.random.default_rng(4)
         parts = [rng.normal(size=(c, 7)) for c in (1, 3, 2)]
-        back = ops.split_channels(ops.concat_channels(parts), [1, 3, 2])
+        back = ops.split_channels(np.concatenate(parts, axis=-2), [1, 3, 2])
         for a, b in zip(parts, back):
             np.testing.assert_array_equal(a, b)
 

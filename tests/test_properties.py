@@ -1,8 +1,10 @@
 """Property tests of the input readers: generated files end in a result or
-in the reader's own error, never in anything else."""
+in the reader's own error, never in anything else, and through `main` in
+a documented exit code."""
 
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -103,15 +105,35 @@ def small_fnet_file(small_fnet, tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def labeled_csv(tmp_path_factory):
+    """A CSV of the labeled well small_fnet's standardizer was fitted on."""
+    path = tmp_path_factory.mktemp("csv") / "well.csv"
+    wd.write_csv([generate_well(SynthConfig(n_samples=50, seed=3))], path)
+    return path
+
+
+def _main_exit_code(capsys, argv):
+    """main's exit code for argv, which must be a documented one, with no
+    traceback on stderr and no warning on the side."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(arg) for arg in argv])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
 @SETTINGS
 @given(rows=st.lists(csv_rows(), min_size=1, max_size=12))
 def test_csv_through_predict_exits_cleanly(small_fnet_file, tmp_path, capsys, rows):
     # a file either predicts or is malformed input; nothing escapes main
     path = tmp_path / "a.csv"
     _write(path, rows)
-    assert main(["predict", str(small_fnet_file), str(path),
-                 "--out", str(tmp_path / "out")]) in (0, 3)
-    assert "Traceback" not in capsys.readouterr().err
+    assert _main_exit_code(capsys, ["predict", small_fnet_file, path,
+                                    "--out", tmp_path / "out"]) in (0, 3)
 
 
 # well names as the parser reads them back: stripped and not blank, with
@@ -192,13 +214,19 @@ def config_texts(draw):
 
 @SETTINGS
 @given(raw=config_texts())
-def test_config_loads_or_raises_config_error(tmp_path, raw):
+def test_config_loads_or_raises_config_error(small_fnet_file, labeled_csv, tmp_path,
+                                             capsys, raw):
     path = tmp_path / "run.cfg"
     path.write_bytes(raw)
     try:
         assert isinstance(load_config(path), Config)
+        loads = True
     except ConfigError as exc:
         assert str(path) in str(exc)
+        loads = False
+    code = _main_exit_code(capsys, ["predict", small_fnet_file, labeled_csv,
+                                    "--config", path, "--out", tmp_path / "out"])
+    assert loads or code == 2
 
 
 # adjacency lines: codes and ids, next to tokens no facies has and lines
@@ -220,13 +248,19 @@ def adjacency_texts(draw):
 
 @SETTINGS
 @given(raw=adjacency_texts())
-def test_adjacency_loads_or_raises_config_error(tmp_path, raw):
+def test_adjacency_loads_or_raises_config_error(small_fnet_file, labeled_csv, tmp_path,
+                                                capsys, raw):
     path = tmp_path / "adj.txt"
     path.write_bytes(raw)
     try:
         assert isinstance(wd.load_adjacency(path), wd.FaciesTable)
+        loads = True
     except ConfigError as exc:
         assert str(path) in str(exc)
+        loads = False
+    code = _main_exit_code(capsys, ["evaluate", small_fnet_file, labeled_csv,
+                                    "--adjacency", path, "--out", tmp_path / "out"])
+    assert code == (0 if loads else 2)
 
 
 @pytest.fixture(scope="module")
