@@ -319,23 +319,25 @@ class _Workspace(_Arrays):
 
 def _conv_relu(params, name, x, arrays, slot, training, out=None):
     """Conv then ReLU; returns (output, cache) with cache = (x, conv
-    output) in training mode and None outside it. The conv writes into
-    an array of `slot`, its im2col matrix into one of "col", and the
-    ReLU into `out`, or in place: a cached ReLU output serves
-    relu_backward as the conv output would, since ReLU keeps the sign."""
+    output, im2col matrix or None for a 1x1 conv) in training mode and
+    None outside it. The conv writes into an array of `slot`, its im2col
+    matrix into one of "col", and the ReLU into `out`, or in place: a
+    cached ReLU output serves relu_backward as the conv output would,
+    since ReLU keeps the sign."""
     kernels = params[f"{name}.kernels"]
     c_out, c_in, k = kernels.shape
+    col = arrays.rows("col", c_in * k * x.shape[2]) if k > 1 else None
     pre = ops.conv1d(x, kernels, params[f"{name}.bias"],
-                     out=arrays.series(slot, c_out, x.shape[2]),
-                     col=arrays.rows("col", c_in * k * x.shape[2]) if k > 1 else None)
-    return ops.relu(pre, out=pre if out is None else out), ((x, pre) if training else None)
+                     out=arrays.series(slot, c_out, x.shape[2]), col=col)
+    return ops.relu(pre, out=pre if out is None else out), ((x, pre, col) if training else None)
 
 
 def _conv_relu_backward(params, name, cache, grad, grads):
-    """Backward through _conv_relu; fills grads[name.*], returns d_input."""
-    x, pre = cache
+    """Backward through _conv_relu, reusing the forward's im2col matrix;
+    fills grads[name.*], returns d_input."""
+    x, pre, col = cache
     d_x, grads[f"{name}.kernels"], grads[f"{name}.bias"] = ops.conv1d_backward(
-        ops.relu_backward(grad, pre), x, params[f"{name}.kernels"])
+        ops.relu_backward(grad, pre), x, params[f"{name}.kernels"], col=col)
     return d_x
 
 
@@ -385,7 +387,7 @@ def inception_backward(params: dict, cache: tuple, grad: np.ndarray,
     The branch widths come from the cached pre-activations.
     """
     c1, c2r, c2, c3r, c3, pool_cache, c4 = cache
-    sizes = [pre.shape[1] for _, pre in (c1, c2, c3, c4)]
+    sizes = [branch[1].shape[1] for branch in (c1, c2, c3, c4)]
     g1, g2, g3, g4 = ops.split_channels(grad, sizes)
     d_x = _conv_relu_backward(params, f"{prefix}.b1", c1, g1, grads)
     g2r = _conv_relu_backward(params, f"{prefix}.b2", c2, g2, grads)

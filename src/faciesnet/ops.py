@@ -30,12 +30,19 @@ single matmul over an im2col matrix that `K` slice copies of the input
 fill. Only the first and last (K-1)/2 rows of each window's block hold
 cells where the window reaches past an end; those rows are zeroed
 before the copies, not the whole matrix, so a reused buffer needs no
-clearing. The backward pass builds the same matrix.
+clearing. The backward pass takes the matrix the forward filled, as a
+training pass caches it, or builds the same one again.
+
+A training-mode max-pool keeps only each window's argmax, as a uint8
+offset inside the window. Its backward pass routes the gradient offset
+by offset, one strided write or add each of the gradient masked by its
+bits, and gives the bits of a scatter-add in window order.
 
 All functions are pure: state a backward pass needs is returned
 explicitly as a cache, never stored on a module or instance.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -55,17 +62,29 @@ def _require_batch(x: np.ndarray, op: str) -> np.ndarray:
 @dataclass
 class LayerCache:
     """Saved forward-pass state max-pooling needs for its backward pass:
-    each window's argmax and the padding to fold back onto the edges.
+    each window's argmax, as its uint8 offset inside the window, the
+    pool's shape and the padding to fold back onto the edges.
 
     Only a training-mode pool records the argmax: an inference-mode
-    pool leaves `positions` an empty array, and its cache cannot be
+    pool leaves `offsets` an empty array, and its cache cannot be
     backpropagated.
     """
 
-    positions: np.ndarray                   # max-pool argmax, padded coords
+    offsets: np.ndarray                     # (B, n, C) argmax offset per window
+    kernel: int = 1
+    stride: int = 1
     pad_left: int = 0
     in_length: int = 0
     padded_length: int = 0
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The argmax in padded coordinates, an int64 (B, C, n) array
+        (window w's offset plus w * stride); empty outside training."""
+        if self.offsets.ndim != 3:
+            return np.empty(0, dtype=np.intp)
+        starts = np.arange(self.offsets.shape[1]) * self.stride
+        return (self.offsets + starts[:, None]).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +165,17 @@ def _im2col(x: np.ndarray, k: int, out: Optional[np.ndarray] = None) -> np.ndarr
     return col.reshape(b * length, c * k)
 
 
-def conv1d_backward(grad: np.ndarray, x: np.ndarray,
-                    kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conv1d_backward(grad: np.ndarray, x: np.ndarray, kernels: np.ndarray,
+                    col: Optional[np.ndarray] = None,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the same-padded conv1d: returns (d_input, d_kernels, d_bias).
 
-    d_input is accumulated tap by tap into a (B, L + K - 1, C) buffer and
-    returned channels last; a channels-last grad is read without a copy.
+    d_kernels is one matmul with x's im2col matrix: `col`, the buffer the
+    forward conv1d filled, if given, else built again (for K = 1 the
+    matrix is x's rows, a free view of a channels-last x, and `col` is
+    not read). d_input is accumulated tap by tap into a (B, L + K - 1, C)
+    buffer and returned channels last; a channels-last grad is read
+    without a copy.
     """
     x = _require_batch(x, "conv1d_backward")
     grad = np.asarray(grad)
@@ -163,7 +187,8 @@ def conv1d_backward(grad: np.ndarray, x: np.ndarray,
 
     g2 = grad.transpose(0, 2, 1).reshape(b * lo, n_out)
     d_bias = g2.sum(axis=0)
-    d_kernels = (g2.T @ _im2col(x, k)).reshape(n_out, n_in, k)
+    cols = _im2col(x, k) if col is None or k == 1 else _view(col, (b * lo, n_in * k))
+    d_kernels = (g2.T @ cols).reshape(n_out, n_in, k)
 
     d_col = (g2 @ kernels.reshape(n_out, n_in * k)).reshape(b, lo, n_in, k)
     d_xp = np.zeros((b, lo + 2 * pad, n_in), dtype=x.dtype)
@@ -184,10 +209,10 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
     inside the input, up to ceil((L - kernel)/stride) + 1 windows; a
     trailing window shorter than `kernel` still contributes its max.
     "same" edge-replicates kernel-1 samples so stride 1 preserves the
-    length. In training mode the cache records the argmax position of
-    every window in padded coordinates, for pool1d_backward; on ties the
-    first maximum wins, as in argmax. Outside training no argmax is
-    computed and the cache's positions are empty.
+    length. In training mode the cache records the argmax of every
+    window, for pool1d_backward, as its offset inside the window; on ties
+    the first maximum wins, as in argmax. Outside training no argmax is
+    computed and the cache's offsets are empty.
 
     Works by strided slices of the input in (B, L, C) order: offset j of
     window w is sample w*stride + j - pad_left, so offset j of every
@@ -201,10 +226,11 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
     "valid" window. In training, step j sets a window's uint8 argmax
     offset to max(offset, j * (sample > max so far)): j exceeds every
     earlier offset, so a strictly greater sample moves the offset to j
-    and an equal one leaves the first maximum. The values, and the int64
-    positions of logical shape (B, C, n), are returned channels last;
-    given `out`, a (B, C, n) view that may be a channel slice of a wider
-    channels-last buffer, the values are written there.
+    and an equal one leaves the first maximum. The cache keeps these
+    (B, n, C) offsets as they are (its `positions` derives the int64
+    padded coordinates from them on request). The values are returned
+    channels last; given `out`, a (B, C, n) view that may be a channel
+    slice of a wider channels-last buffer, they are written there.
     """
     x = _require_batch(x, "pool1d")
     if kernel < 1 or stride < 1:
@@ -248,39 +274,55 @@ def pool1d(x: np.ndarray, kernel: int, stride: int, padding: str = "valid",
             moved = np.greater(shifted, head) * offset.dtype.type(j)
             np.maximum(offset[:, first:stop], moved, out=offset[:, first:stop])
         np.maximum(head, shifted, out=head)
-    if training:
-        pos = (offset + (np.arange(n_out) * stride)[:, None]).transpose(0, 2, 1)
-    else:
-        pos = np.empty(0, dtype=np.intp)
-
-    cache = LayerCache(positions=pos, pad_left=pad_left, in_length=length,
-                       padded_length=lp)
+    cache = LayerCache(offsets=offset if training else np.empty(0, dtype=np.uint8),
+                       kernel=kernel, stride=stride, pad_left=pad_left,
+                       in_length=length, padded_length=lp)
     return vals.transpose(0, 2, 1), cache
 
 
 def pool1d_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
     """Route each window's upstream gradient to its argmax sample.
 
-    One scatter-add over the flattened (B, Lp, C) padded gradient, at
-    index (b*Lp + position)*C + c, in (batch, window, channel) order.
-    np.add.at adds in index order, so a sample that several windows
-    chose sums their gradients in ascending window order. The pad rows
-    of a "same" pool are then folded onto the boundary samples. The
-    result is channels last in memory.
+    Offset j = u*stride + r of window w is padded sample (w + u)*stride
+    + r: row r of block w + u when the (B, Lp, C) padded gradient is
+    seen as (B, blocks, stride, C). So, offset by offset from the last
+    down to 0, the windows' offset-j samples are one strided slice, and
+    it gets the upstream gradient of the windows whose argmax offset is
+    j and +0.0 from the others; the slice that no larger offset reached
+    is written, the others added into. The mask multiplies the
+    gradient's bit pattern as an integer, as relu_backward does, so a
+    masked inf or NaN gives +0.0. A sample that several windows chose
+    sums their gradients in ascending window order, and a final +0.0
+    turns a -0.0 into +0.0, so the result equals a scatter-add in window
+    order into zeros bit for bit. The pad rows of a "same" pool are then
+    folded onto the boundary samples. The result is channels last in
+    memory.
     """
     grad = np.asarray(grad)
-    pos = cache.positions
-    if pos.ndim != 3:
+    off = cache.offsets
+    if off.ndim != 3:
         raise ShapeError("pool1d_backward needs the cache of a training-mode pool1d")
-    if grad.shape != pos.shape:
-        raise ShapeError(f"upstream grad shape {grad.shape} != pooled shape {pos.shape}")
-    b, c, _ = grad.shape
-    lp = cache.padded_length
-    base = np.arange(0, b * lp * c, lp * c).reshape(b, 1, 1) + np.arange(c)
-    index = pos.transpose(0, 2, 1) * c + base
-    d_xp = np.zeros(b * lp * c, dtype=grad.dtype)
-    np.add.at(d_xp, index.ravel(), grad.transpose(0, 2, 1).ravel())
-    d_xp = d_xp.reshape(b, lp, c)
+    b, n, c = off.shape
+    if grad.shape != (b, c, n):
+        raise ShapeError(f"upstream grad shape {grad.shape} != pooled shape {(b, c, n)}")
+    lp, stride = cache.padded_length, cache.stride
+    last = (cache.kernel - 1) // stride   # the block of the last offset
+    g_bits = grad.transpose(0, 2, 1).view(f"i{grad.itemsize}")
+    blocks = np.empty((b, n + last, stride, c), dtype=grad.dtype)
+    blocks[:, :last] = 0
+    block_bits = blocks.view(g_bits.dtype)
+    routed = np.empty((b, n, c), dtype=grad.dtype)
+    routed_bits = routed.view(g_bits.dtype)
+    for j in reversed(range((last + 1) * stride)):
+        u, r = divmod(j, stride)
+        if u == last:
+            # the first write of these rows: offset j, or none if j >= kernel
+            np.multiply(g_bits, off == j, out=block_bits[:, u:, r])
+        else:
+            np.multiply(g_bits, off == j, out=routed_bits)
+            blocks[:, u:u + n, r] += routed
+    blocks += 0.0
+    d_xp = blocks.reshape(b, -1, c)[:, :lp]
 
     pad, length = cache.pad_left, cache.in_length
     if lp != length:
@@ -339,9 +381,8 @@ def relu_backward(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     grad, x = np.asarray(grad), np.asarray(x)
     d = np.empty_like(x, dtype=grad.dtype)
-    d[...] = grad
     bits = d.view(f"i{d.itemsize}")
-    bits *= x > 0
+    np.multiply(grad.view(bits.dtype), x > 0, out=bits)
     return d
 
 
@@ -361,7 +402,8 @@ def split_channels(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     """The channel blocks of x, of the given sizes in order, as views."""
     if sum(sizes) != x.shape[-2]:
         raise ShapeError(f"sizes sum to {sum(sizes)}, input has {x.shape[-2]} channels")
-    return np.split(x, np.cumsum(sizes)[:-1], axis=-2)
+    ends = list(itertools.accumulate(sizes))
+    return [x[..., lo:hi, :] for lo, hi in zip([0] + ends, ends)]
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator,

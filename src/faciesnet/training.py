@@ -123,7 +123,11 @@ def compute_class_weights(labels: np.ndarray) -> np.ndarray:
 
 def sgd_step(params: dict, grads: dict, velocity: dict,
              lr: float, momentum: float) -> None:
-    """One momentum step in place: v <- momentum*v - lr*g; p <- p + v."""
+    """One momentum step in place: v <- momentum*v - lr*g; p <- p + v.
+
+    Both are updated in the caller's arrays, with the bits of the
+    expressions: `params` and `velocity` keep their array objects.
+    """
     for name, p in params.items():
         if name not in grads:
             raise ShapeError(f"no gradient supplied for {name}")
@@ -133,10 +137,10 @@ def sgd_step(params: dict, grads: dict, velocity: dict,
                              f"param {name} {p.shape}")
         v = velocity.get(name)
         if v is None:
-            v = np.zeros_like(p)
-        v = momentum * v - lr * g.astype(p.dtype, copy=False)
-        velocity[name] = v
-        params[name] = p + v
+            v = velocity[name] = np.zeros_like(p)
+        v *= momentum
+        v -= lr * g.astype(p.dtype, copy=False)
+        p += v
 
 
 def _validate(spec, params, validation: WindowSet):

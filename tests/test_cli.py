@@ -471,8 +471,8 @@ class TestGradcheckCommand:
     def test_corrupted_conv_backward_fails(self, capsys, monkeypatch):
         true_backward = ops.conv1d_backward
 
-        def broken(grad, x, kernels):
-            d_x, d_k, d_b = true_backward(grad, x, kernels)
+        def broken(grad, x, kernels, **kwargs):
+            d_x, d_k, d_b = true_backward(grad, x, kernels, **kwargs)
             return d_x, d_k * 1.01, d_b
 
         monkeypatch.setattr(ops, "conv1d_backward", broken)

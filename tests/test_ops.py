@@ -251,11 +251,14 @@ def _default_conv_layers():
 
 
 # the default layers at batch 64 in float32, then float64 at every kernel
-# length, down to inputs shorter than the kernel
+# length, down to inputs shorter than the kernel, and batches of one and
+# two windows shorter than a 7-tap kernel's padding
 BIT_EXACT_CASES = [(name, 64, shape, length, np.float32)
                    for name, shape, length in _default_conv_layers()] + [
     (f"f64-k{k}-L{length}", 3, (4, 5, k), length, np.float64)
-    for k in (1, 3, 5, 7) for length in (1, 2, 13)]
+    for k in (1, 3, 5, 7) for length in (1, 2, 13)] + [
+    (f"f64-k7-B{batch}-L{length}", batch, (4, 5, 7), length, np.float64)
+    for batch in (1, 2) for length in (1, 2)]
 
 
 @pytest.mark.parametrize("batch, shape, length, dtype", [c[1:] for c in BIT_EXACT_CASES],
@@ -278,6 +281,26 @@ def test_conv_bitwise_equals_padded_oracle(batch, shape, length, dtype):
         for got, want in zip(ops.conv1d_backward(grad_in, x_in, kernels), expected_grads):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert bits(got) == bits(want), layout
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_conv_backward_with_forward_col_bitwise_equals_rebuilt(k, layout, dtype):
+    # a training pass hands conv1d_backward the im2col matrix its conv1d
+    # filled; a 1x1 conv fills none, so its NaN buffer must not be read
+    rng = np.random.default_rng(k)
+    x = in_layout(rng.normal(size=(5, 6, 13)).astype(dtype), layout)
+    kernels = rng.normal(size=(4, 6, k)).astype(dtype)
+    grad = in_layout(rng.normal(size=(5, 4, 13)).astype(dtype), layout)
+    col = np.full(5 * 13 * 6 * k, np.nan, dtype=dtype)
+    ops.conv1d(x, kernels, np.zeros(4, dtype), col=col)
+    if k == 1:
+        assert np.isnan(col).all()
+    for got, want in zip(ops.conv1d_backward(grad, x, kernels, col=col),
+                         ops.conv1d_backward(grad, x, kernels)):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert bits(got) == bits(want)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +488,20 @@ class TestPool1d:
             got = ops.pool1d_backward(in_layout(up, layout), cache)
             assert got.dtype == np.float32
             assert bits(got) == bits(want), layout
+
+    @pytest.mark.parametrize("kernel, stride, padding", TIE_TABLE)
+    def test_backward_of_signed_zeros_and_non_finite_equals_scatter_add(
+            self, kernel, stride, padding):
+        # a -0.0 gradient sums to +0.0 from zeros, and a window that did
+        # not choose a sample adds +0.0 to it, whatever its gradient
+        _, cache = ops.pool1d(tied_input((2, 3, 13)), kernel, stride, padding,
+                              training=True)
+        up = np.random.default_rng(kernel).normal(size=cache.positions.shape)
+        up = up.astype(np.float32)
+        up[0, 0], up[0, 1], up[1, 2, ::2] = -0.0, np.inf, np.nan
+        up[1, 0, :3] = [-np.inf, -0.0, np.nan]
+        got = ops.pool1d_backward(up, cache)
+        assert bits(got) == bits(pool1d_backward_scatter(up, cache))
 
     @pytest.mark.parametrize("kernel,stride,padding", [(2, 2, "valid"), (3, 1, "same"), (3, 2, "valid")])
     def test_gradients_match_finite_differences(self, kernel, stride, padding):

@@ -148,6 +148,21 @@ class TestSgdStep:
         sgd_step(params, g, velocity, 0.1, 0.9)
         assert params["w"][0] == pytest.approx(-0.29, rel=1e-15)
 
+    def test_updates_the_callers_arrays_with_the_bits_of_the_expressions(self):
+        rng = np.random.default_rng(6)
+        p = rng.normal(size=(4, 5)).astype(np.float32)
+        v = rng.normal(size=(4, 5)).astype(np.float32)
+        g = rng.normal(size=(4, 5)).astype(np.float32)
+        p[0, 0], v[0, 0], g[0, 0] = 0.0, -0.0, 0.0   # m*v - lr*g = -0.0 - 0.0
+        lr, m = 0.01, 0.9
+        want_v = m * v - lr * g
+        want_p = p + want_v
+        params, velocity = {"w": p}, {"w": v}
+        sgd_step(params, {"w": g}, velocity, lr, m)
+        assert params["w"] is p and velocity["w"] is v
+        assert v.tobytes() == want_v.tobytes() and p.tobytes() == want_p.tobytes()
+        assert np.signbit(v[0, 0])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             sgd_step({"w": np.zeros(3)}, {"w": np.zeros(2)}, {}, 0.1, 0.0)
@@ -183,6 +198,16 @@ def synth_windows(n_samples=200, seed=0, window=9, sigma=0.5):
 
 
 class TestTrainOnWindows:
+    def test_last_batch_of_one_window_at_a_length_2_stage(self):
+        # window 3 leaves the second stage 2 samples, fewer than the
+        # 7-tap branch's padding of 3, and the last minibatch one window
+        data = synth_windows(n_samples=40, window=3)
+        spec = ModelSpec(window=3, stages=(InceptionSpec(), InceptionSpec()))
+        cfg = TrainConfig(epochs=1, batch_size=len(data.windows) - 1, seed=2)
+        params, report = train_on_windows(cfg, data, spec)
+        assert len(data.windows) % cfg.batch_size == 1 and len(report.rows) == 1
+        assert all(np.isfinite(p).all() for p in params.values())
+
     def test_bit_identical_across_runs(self):
         data = synth_windows()
         cfg = TrainConfig(epochs=5, batch_size=32, seed=3)
@@ -262,6 +287,23 @@ class TestEarlyStopping:
         assert best_row.val_macro_f1 == max(observed)
         _, refit_f1 = _validate(spec, params, validation)
         assert refit_f1 == best_row.val_macro_f1
+
+    def test_best_snapshot_is_not_moved_by_later_steps(self):
+        # the steps update params in place, so the kept snapshot must be
+        # a copy: the run keeps epoch 6's weights, which equal a 6-epoch
+        # run's (validation draws no randomness), while its last two
+        # epochs moved the weights on
+        validation = synth_windows(n_samples=120, seed=2, sigma=1.5)
+        data = synth_windows(n_samples=300, seed=1, sigma=1.5)
+        spec = small_spec()
+        runs = {epochs: train_on_windows(TrainConfig(epochs=epochs, batch_size=32, seed=1),
+                                         data, spec, validation=validation)
+                for epochs in (8, 6)}
+        kept, report = runs[8]
+        assert report.best_epoch == 6 and len(report.rows) == 8
+        last, _ = train_on_windows(TrainConfig(epochs=8, batch_size=32, seed=1), data, spec)
+        assert any(kept[k].tobytes() != last[k].tobytes() for k in kept)
+        assert all(kept[k].tobytes() == runs[6][0][k].tobytes() for k in kept)
 
     def test_patience_truncates_run(self):
         _, patient, _, _ = self.build(patience=2)
